@@ -1,11 +1,15 @@
 """Defining equations of the automorphism group scheme inside GL_N.
 
-The generic matrix acts on words through coefficient polynomials (one
-monomial per same-shape word); the truncated kernel of the evaluation map
-then yields the polynomial conditions cutting the automorphism locus out of
-GL_N, optionally restricted to graded automorphisms or to automorphisms
-fixing distinguished vectors.  Inverse conditions are phrased through the
-auxiliary variable t via theta^{-1} = t * adj(theta), t * det(theta) = 1.
+A matrix L sends generator j of the free algebra to sum_i L_ij x_i, and the
+image of a word w1 <m> w2 is the m-product of the images of w1 and w2,
+evaluated in the presented algebra through the structure constants.  With L
+the generic matrix X, the coordinates of the images of the truncated kernel
+vectors of the evaluation map cut the automorphism locus out of GL_N,
+optionally restricted to graded automorphisms or to automorphisms fixing
+distinguished vectors.  The inverse conditions are the same coordinates with
+L = t * adj(X), the inverse of X once t * det(X) = 1.  ``generic_image`` and
+``theta_tilde_word`` compute the same images by independent routes, as
+references for the tests.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass, field
 
 from . import linalg
 from .errors import BudgetExceeded, GradingViolation, TruncationTooShort
-from .freealg import FreeElement, eta_evaluate, eta_matrix, m_product
+from .freealg import FreeElement, eta_matrix, m_product
 from .poly import Polynomial, adjugate, generic_matrix
 from .poly import determinant as poly_determinant
 from .presentation import Presentation
@@ -148,30 +152,52 @@ class IdealSystem:
         return f"# meta N={self.n} ring={self.ring} L={self.max_length} {opts}"
 
 
-def _coordinate_polys(element: FreeElement, pres: Presentation,
-                      gcache: dict) -> list[Polynomial]:
-    """Coordinates in the presented algebra of the evaluated generic image of
-    a free element: one polynomial per basis element."""
+def _add_scaled(acc: dict, q: Polynomial, f) -> None:
+    """acc += f * q on a term dict, dropping terms that cancel."""
+    for mono, c in q.terms.items():
+        q._accum(acc, mono, q.ring.mul(f, c))
+
+
+def _word_images(pres: Presentation, leaves: list[list[Polynomial]]):
+    """psi(w): coordinates in the presented algebra of the image of w under
+    the endomorphism sending generator j to sum_i leaves[i][j] * x_i.
+
+    psi(w1 <m> w2) is the m-product of psi(w1) and psi(w2) through the
+    structure constants; memoized on interned words, so each subword is
+    expanded once.
+    """
     ring, n = pres.ring, pres.num_gens
-    add, mul = ring.add, ring.mul
+    consts: dict[int, list] = {m: [] for m in pres.labels}
+    for (m, i, j), vec in pres.mul.items():
+        consts[m].append((i, j, [(k, s) for k, s in enumerate(vec) if s]))
+    memo: dict = {}
+
+    def psi(w: Word) -> list[Polynomial]:
+        if w not in memo:
+            acc: list[dict] = [{} for _ in range(pres.dim)]
+            if w.is_leaf:
+                for i, g in enumerate(pres.gens):
+                    _add_scaled(acc[g], leaves[i][w.gen - 1], ring.one)
+            else:
+                left, right = psi(w.left), psi(w.right)
+                for i, j, vec in consts[w.label]:
+                    if left[i] and right[j]:
+                        prod = left[i].mul(right[j])
+                        for k, s in vec:
+                            _add_scaled(acc[k], prod, s)
+            memo[w] = [Polynomial(ring, n, terms) for terms in acc]
+        return memo[w]
+
+    return psi
+
+
+def _coordinates(element: FreeElement, psi, pres: Presentation) -> list[Polynomial]:
+    """Coordinates of the image of a free element: sum_w alpha_w psi(w)."""
     acc: list[dict] = [{} for _ in range(pres.dim)]
     for w, alpha in element.terms.items():
-        gi = generic_image(w, pres.universe, ring, gcache)
-        for b, q in gi.coeffs.items():
-            img = eta_evaluate(b, pres)
-            for ell, x in enumerate(img):
-                if not x:
-                    continue
-                f = mul(alpha, x)
-                terms = acc[ell]
-                for mono, c in q.terms.items():
-                    cur = terms.get(mono)
-                    s = mul(f, c) if cur is None else add(cur, mul(f, c))
-                    if s:
-                        terms[mono] = s
-                    elif cur is not None:
-                        del terms[mono]
-    return [Polynomial(ring, n, terms) for terms in acc]
+        for terms, q in zip(acc, psi(w)):
+            _add_scaled(terms, q, alpha)
+    return [Polynomial(pres.ring, pres.num_gens, terms) for terms in acc]
 
 
 def ideal_generators(pres: Presentation, max_length: int, *,
@@ -188,13 +214,12 @@ def ideal_generators(pres: Presentation, max_length: int, *,
     """
     ring, n = pres.ring, pres.num_gens
     kb = kernel_basis(pres, max_length, cap)
-    gcache: dict = {}
+    gm = generic_matrix(ring, n)
+    psi = _word_images(pres, gm)
 
-    forward: list[Polynomial] = []
+    gens: list[Polynomial] = []
     for vec in kb.vectors:
-        forward.extend(_coordinate_polys(vec, pres, gcache))
-
-    gens: list[Polynomial] = list(forward)
+        gens.extend(_coordinates(vec, psi, pres))
 
     if graded:
         if pres.degrees is None:
@@ -206,31 +231,23 @@ def ideal_generators(pres: Presentation, max_length: int, *,
                     gens.append(Polynomial.variable(ring, n, i + 1, j + 1))
 
     if fixed:
+        # kernel_basis has already checked that the section fits in max_length
         section = pres.generation_closure(cap)
-        if section.max_length > max_length:
-            raise TruncationTooShort(
-                f"section needs words of length {section.max_length}, "
-                f"truncation is {max_length}")
         for v in pres.fixed:
             sigma = FreeElement(ring)
             for i, c in enumerate(v):
                 if c:
                     sigma = sigma.add(section.elements[i].scale(c))
-            coords = _coordinate_polys(sigma, pres, gcache)
+            coords = _coordinates(sigma, psi, pres)
             for ell, c in enumerate(v):
                 gens.append(coords[ell].sub(Polynomial.constant(ring, n, c)))
 
     if inverse:
-        gm = generic_matrix(ring, n)
-        adj = adjugate(gm)
         t = Polynomial.t_var(ring, n)
-        entries = [t.mul(adj[i][j]) for i in range(n) for j in range(n)]
-        composed: dict = {}
-        for g in forward:
-            key = g.key()
-            if key not in composed:
-                composed[key] = g.substitute(entries)
-            gens.append(composed[key])
+        psi_inv = _word_images(pres, [[t.mul(a) for a in row]
+                                      for row in adjugate(gm)])
+        for vec in kb.vectors:
+            gens.extend(_coordinates(vec, psi_inv, pres))
         det = poly_determinant(gm)
         gens.append(t.mul(det).sub(Polynomial.constant(ring, n, ring.one)))
 

@@ -67,16 +67,6 @@ def m_product(a: FreeElement, b: FreeElement, m: int, universe: Universe) -> Fre
     return out
 
 
-def format_element(e: FreeElement, table: WordTable, names: list[str]) -> str:
-    """Deterministic text form, terms in canonical word order."""
-    from .words import format_word
-
-    if not e.terms:
-        return "0"
-    items = sorted(e.terms.items(), key=lambda kv: table.index[kv[0]])
-    return " + ".join(f"{e.ring.format(c)}*{format_word(w, names)}" for w, c in items)
-
-
 def structure_product(pres, u: tuple, v: tuple, m: int) -> tuple:
     """m-product of two coordinate vectors of the presented algebra."""
     ring = pres.ring

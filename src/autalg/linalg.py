@@ -36,30 +36,6 @@ def rref(ring: Ring, rows: list[list]) -> tuple[list[list], list[int]]:
     return m[:r] + m[r:], pivots
 
 
-def nullspace(ring: Ring, rows: list[list]) -> list[list]:
-    """Basis of the right kernel, one vector per free column, in column order.
-
-    The free-column entry of each vector is 1; pivot entries come from the
-    reduced echelon form.
-    """
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    red, pivots = rref(ring, rows)
-    pivot_set = set(pivots)
-    basis = []
-    for c in range(ncols):
-        if c in pivot_set:
-            continue
-        v = [ring.zero] * ncols
-        v[c] = ring.one
-        for r, pc in enumerate(pivots):
-            if red[r][c]:
-                v[pc] = ring.neg(red[r][c])
-        basis.append(v)
-    return basis
-
-
 def primitive_integer(vec: list) -> list:
     """Rescale a nonzero rational vector to coprime integers, first nonzero entry positive."""
     from fractions import Fraction
@@ -111,17 +87,3 @@ def inverse(ring: Ring, rows: list[list]) -> list[list] | None:
         return None
     return [row[n:] for row in red[:n]]
 
-
-def solve(ring: Ring, rows: list[list], rhs: list) -> list | None:
-    """One solution of A x = b, or None if inconsistent (A square or not)."""
-    if not rows:
-        return None
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(ring, aug)
-    if ncols in pivots:
-        return None
-    x = [ring.zero] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return x

@@ -112,39 +112,44 @@ def enumerate_automorphisms(pres: Presentation, *, graded: bool = False,
     if p is None:
         raise ValueError("the oracle enumerates over prime fields only")
     column_values = _column_values(pres, graded)
-    first = column_values[0]
+    first, rest = column_values[0], column_values[1:]
     if workers > 1:
-        chunks = [first[k::workers] for k in range(workers)]
-        autos = _run_chunks(pres, graded, fixed, budget, chunks, workers)
+        chunks = [[first[k::workers]] + rest for k in range(workers)]
+        autos, visited = _run_chunks(pres, fixed, budget, chunks, workers)
     else:
-        autos = _enumerate_range(pres, graded, fixed, budget, first)
+        autos, visited = _enumerate_range(pres, fixed, budget, column_values)
+    if visited > budget:
+        raise BudgetExceeded(f"more than {budget} candidate columns")
     autos.sort()
     restricted = [_restrict(pres, g) for g in autos]
     return AutoSet(p, autos, restricted)
 
 
-def _run_chunks(pres, graded, fixed, budget, chunks, workers):
+def _run_chunks(pres, fixed, budget, chunks, workers):
+    """Enumerate the first-column chunks in worker processes; the found
+    automorphisms and the visited counts of all chunks, summed."""
     import concurrent.futures
 
     text = format_presentation(pres)
-    args = [(text, graded, fixed, budget, chunk) for chunk in chunks]
+    args = [(text, fixed, budget, chunk) for chunk in chunks]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(_enumerate_chunk, args))
-    return [g for part in parts for g in part]
+    return [g for found, _ in parts for g in found], sum(n for _, n in parts)
 
 
 def _enumerate_chunk(arg):
-    text, graded, fixed, budget, chunk = arg
-    return _enumerate_range(parse_presentation(text), graded, fixed, budget, chunk)
+    text, fixed, budget, chunk = arg
+    return _enumerate_range(parse_presentation(text), fixed, budget, chunk)
 
 
-def _enumerate_range(pres: Presentation, graded: bool, fixed: bool,
-                     budget: int, first_values: list[tuple]) -> list[tuple]:
+def _enumerate_range(pres: Presentation, fixed: bool, budget: int,
+                     column_values: list[list[tuple]]) -> tuple[list[tuple], int]:
+    """DFS over the candidate columns; the automorphisms found and the
+    number of candidate columns visited, stopping once that passes budget."""
     ring = pres.ring
     p = ring.p
     dim = pres.dim
     checks = _multiplicativity_checks(pres)
-    column_values = _column_values(pres, graded)
     fix_by_depth = [[] for _ in range(dim)]
     if fixed:
         for v in pres.fixed:
@@ -189,8 +194,7 @@ def _enumerate_range(pres: Presentation, graded: bool, fixed: bool,
 
     def descend(depth: int) -> None:
         nonlocal visited
-        values = first_values if depth == 0 else column_values[depth]
-        for col in values:
+        for col in column_values[depth]:
             visited += 1
             if visited > budget:
                 raise BudgetExceeded(f"more than {budget} candidate columns")
@@ -207,7 +211,7 @@ def _enumerate_range(pres: Presentation, graded: bool, fixed: bool,
         return
 
     descend(0)
-    return found
+    return found, visited
 
 
 def _restrict(pres: Presentation, g: tuple) -> tuple:

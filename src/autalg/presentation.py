@@ -14,6 +14,8 @@ File format (line oriented, ``#`` comments and blank lines ignored)::
     dtable 1 0 1 = 2              # only with grading table
 
 ``grading vertex`` fixes the product-degree function d(a, m, b) = a + b - m - 1.
+``ring``, ``products``, ``grading`` and ``generators`` appear at most once,
+with distinct generator names; ``mul`` and ``dtable`` keys are unique.
 """
 
 from __future__ import annotations
@@ -260,6 +262,8 @@ def parse(text: str) -> Presentation:
     fixed_raw: list[tuple[int, str]] = []
     mul_raw: list[tuple[int, str]] = []
     dtable: dict[tuple[int, int, int], int] = {}
+    dtable_line = 0
+    seen: set[str] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -267,6 +271,10 @@ def parse(text: str) -> Presentation:
             continue
         keyword, _, rest = line.partition(" ")
         rest = rest.strip()
+        if keyword in ("ring", "products", "grading", "generators"):
+            if keyword in seen:
+                raise PresentationSyntaxError(lineno, f"repeated {keyword!r} line")
+            seen.add(keyword)
         if keyword == "ring":
             try:
                 ring = parse_ring(rest)
@@ -294,6 +302,8 @@ def parse(text: str) -> Presentation:
                 raise PresentationSyntaxError(lineno, f"bad degree {parts[1]!r}") from None
         elif keyword == "generators":
             gens = rest.split()
+            if len(set(gens)) != len(gens):
+                raise PresentationSyntaxError(lineno, "duplicate generator name")
         elif keyword == "fixed":
             fixed_raw.append((lineno, rest))
         elif keyword == "mul":
@@ -303,7 +313,10 @@ def parse(text: str) -> Presentation:
             if not m:
                 raise PresentationSyntaxError(lineno, f"bad dtable line {rest!r}")
             a, lab, b, lam = (int(m.group(k)) for k in range(1, 5))
+            if (a, lab, b) in dtable:
+                raise PresentationSyntaxError(lineno, f"duplicate dtable entry {rest!r}")
             dtable[(a, lab, b)] = lam
+            dtable_line = dtable_line or lineno
         else:
             raise PresentationSyntaxError(lineno, f"unknown keyword {keyword!r}")
 
@@ -315,6 +328,8 @@ def parse(text: str) -> Presentation:
         raise PresentationSyntaxError(0, "missing basis lines")
     if gens is None:
         raise PresentationSyntaxError(0, "missing generators line")
+    if dtable and grading != "table":
+        raise PresentationSyntaxError(dtable_line, "dtable needs 'grading table'")
 
     names = {name: i for i, name in enumerate(basis)}
     gen_idx = []
@@ -344,8 +359,10 @@ def parse(text: str) -> Presentation:
                 raise UnknownName(f"line {lineno}: unknown basis name {name!r}")
         vec = _parse_combo(m.group(4), names, ring, dim, lineno)
         key = (label, names[m.group(2)], names[m.group(3)])
-        if any(vec):
-            mul[key] = vec
+        if key in mul:
+            raise PresentationSyntaxError(lineno, f"second mul line for {rest!r}")
+        mul[key] = vec
+    mul = {key: vec for key, vec in mul.items() if any(vec)}
 
     fixed = [_parse_combo(rest, names, ring, dim, lineno)
              for lineno, rest in fixed_raw]

@@ -5,8 +5,9 @@ import pytest
 from autalg.autscheme import (check_point, generic_image, ideal_generators,
                               kernel_basis, locus_points, theta_tilde_word)
 from autalg.errors import GradingViolation, TruncationTooShort
-from autalg.freealg import FreeElement, eta_element
-from autalg.poly import Polynomial, format_poly, parse_poly
+from autalg.freealg import FreeElement, eta_element, eta_evaluate
+from autalg.poly import (Polynomial, adjugate, determinant, format_poly,
+                         generic_matrix, parse_poly)
 from autalg.presentation import base_change, parse
 from autalg.rings import GF, QQ
 from autalg.words import Universe, enumerate_words
@@ -79,6 +80,61 @@ def test_two_path_agreement():
             for b, q in gi.coeffs.items():
                 summed.add_term(b, q.evaluate(theta, f5.one))
             assert summed == direct
+
+
+def _reference_generators(pres, max_length, fixed, inverse):
+    """The ideal's generators assembled from the reference paths: forward
+    and fixed coordinates from generic_image and eta_evaluate, the inverse
+    block by substituting t * adj(X) into each forward generator."""
+    ring, n = pres.ring, pres.num_gens
+    cache = {}
+
+    def coords(element):
+        acc = [Polynomial.zero(ring, n)] * pres.dim
+        for w, alpha in element.terms.items():
+            gi = generic_image(w, pres.universe, ring, cache)
+            for b, q in gi.coeffs.items():
+                for ell, x in enumerate(eta_evaluate(b, pres)):
+                    if x:
+                        acc[ell] = acc[ell].add(q.scale(ring.mul(alpha, x)))
+        return acc
+
+    forward = [q for v in kernel_basis(pres, max_length).vectors
+               for q in coords(v)]
+    gens = list(forward)
+    if fixed:
+        section = pres.generation_closure()
+        for v in pres.fixed:
+            sigma = FreeElement(ring)
+            for i, c in enumerate(v):
+                sigma = sigma.add(section.elements[i].scale(c))
+            gens.extend(q.sub(Polynomial.constant(ring, n, c))
+                        for q, c in zip(coords(sigma), v))
+    if inverse:
+        gm = generic_matrix(ring, n)
+        t = Polynomial.t_var(ring, n)
+        entries = [t.mul(a) for row in adjugate(gm) for a in row]
+        gens.extend(g.substitute(entries) for g in forward)
+        gens.append(t.mul(determinant(gm)).sub(
+            Polynomial.constant(ring, n, ring.one)))
+    unique = {}
+    for g in gens:
+        if g:
+            unique.setdefault(g.key(), g)
+    return list(unique.values())
+
+
+def test_ideal_matches_reference_paths():
+    from conftest import CORPUS, load
+    from test_acceptance import _random_presentation
+    rng = random.Random(20260823)  # the acceptance-6 family, first ten
+    family = [_random_presentation(rng) for _ in range(10)]
+    for pres in [load(path.name) for path in CORPUS] + family:
+        fixed = bool(pres.fixed)
+        for inverse in (False, True):
+            system = ideal_generators(pres, 3, fixed=fixed, inverse=inverse)
+            assert system.generators == \
+                _reference_generators(pres, 3, fixed, inverse)
 
 
 def test_kernel_basis_p0(p0):

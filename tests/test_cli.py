@@ -94,6 +94,10 @@ def test_limit_and_budget_exit_code(capsys):
     code, _, err = run(capsys, "compare", "--input", P2, "--max-length", "2",
                        "--budget", "3")
     assert code == 4 and err.startswith("error:")
+    for workers in ("1", "2"):  # the budget is global, not per worker
+        code, _, err = run(capsys, "oracle", "--input", P2, "--budget", "45",
+                           "--workers", workers)
+        assert code == 4 and err.startswith("error:")
 
 
 def test_byte_determinism(capsys):

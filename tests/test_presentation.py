@@ -34,6 +34,21 @@ def test_parse_errors():
         parse("ring Fp 6\nproducts 0\nbasis x\ngenerators x\n")
     with pytest.raises(UnknownName):
         parse("ring Q\nproducts 0\nbasis x\ngenerators z\n")
+    # ambiguous input: rejected at the offending line, not last-line-wins
+    for text, line in [
+        (base + "mul 0 x x = 1*y\nmul 0 x x = 0*y\n", 7),
+        ("ring Q\nproducts 0\nbasis x\nbasis y\ngenerators x x y\n", 5),
+        ("ring Q\nring Fp 3\nproducts 0\nbasis x\ngenerators x\n", 2),
+        (base + "products 0 1\n", 6),
+        (base + "grading none\ngrading vertex\n", 7),
+        (base + "generators y\n", 6),
+        (base + "dtable 1 0 1 = 2\n", 6),
+        ("ring Q\nproducts 0\ngrading table\nbasis x 1\ngenerators x\n"
+         "dtable 1 0 1 = 2\ndtable 1 0 1 = 3\n", 7),
+    ]:
+        with pytest.raises(PresentationSyntaxError) as exc:
+            parse(text)
+        assert exc.value.line == line, text
 
 
 def test_grading_violation():
