@@ -9,13 +9,14 @@ optionally restricted to graded automorphisms or to automorphisms fixing
 distinguished vectors.  The inverse conditions are the same coordinates with
 L = t * adj(X), the inverse of X once t * det(X) = 1.  ``generic_image`` and
 ``theta_tilde_word`` compute the same images by independent routes, as
-references for the tests.
+references for the tests.  Over a prime field, ``locus_points`` finds the
+points of the locus by a depth-first search over the matrix entries, and
+``check_point`` tests one point against every generator.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import linalg
 from .errors import BudgetExceeded, GradingViolation, TruncationTooShort
@@ -142,7 +143,6 @@ class IdealSystem:
     fixed: bool
     inverse: bool
     generators: list[Polynomial]
-    _checkers: list = field(default=None, repr=False, compare=False)
 
     def meta_line(self) -> str:
         opts = " ".join(f"{name}={'on' if val else 'off'}"
@@ -267,54 +267,6 @@ def ideal_generators(pres: Presentation, max_length: int, *,
 # -- point membership ----------------------------------------------------------
 
 
-def _det_flat(flat: tuple, n: int, p: int) -> int:
-    if n == 1:
-        return flat[0] % p
-    if n == 2:
-        return (flat[0] * flat[3] - flat[1] * flat[2]) % p
-    if n == 3:
-        a, b, c, d, e, f, g, h, i = flat
-        return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) % p
-    from .rings import GF
-    ring = GF(p)
-    rows = [[flat[r * n + col] for col in range(n)] for r in range(n)]
-    return linalg.det(ring, rows)
-
-
-def _poly_expr(g: Polynomial) -> str:
-    parts = []
-    for mono, c in g.terms.items():
-        factors = [str(c)]
-        for idx, e in enumerate(mono[:-1]):
-            factors.append(f"f[{idx}]" if e == 1 else f"f[{idx}]**{e}")
-        if mono[-1]:
-            factors.append("tv" if mono[-1] == 1 else f"tv**{mono[-1]}")
-        parts.append("*".join(factors))
-    return " + ".join(parts) if parts else "0"
-
-
-def _compiled_checkers(system: IdealSystem) -> list:
-    """Generated vanishing tests over a prime field, ~80 generators each."""
-    funcs = []
-    lines = []
-
-    def flush():
-        if not lines:
-            return
-        src = "def _chk(f, tv, p):\n" + "\n".join(lines) + "\n    return True\n"
-        ns: dict = {}
-        exec(src, ns)  # noqa: S102 - generated from our own polynomials
-        funcs.append(ns["_chk"])
-        lines.clear()
-
-    for g in system.generators:
-        lines.append(f"    if ({_poly_expr(g)}) % p: return False")
-        if len(lines) >= 80:
-            flush()
-    flush()
-    return funcs
-
-
 def check_point(system: IdealSystem, theta: list[list]) -> bool:
     """True iff theta is invertible and every generator vanishes at theta
     (with t bound to 1/det(theta))."""
@@ -328,24 +280,47 @@ def check_point(system: IdealSystem, theta: list[list]) -> bool:
 
 def locus_points(system: IdealSystem, budget: int = 10**8) -> list[tuple]:
     """All invertible matrices over the prime field at which every generator
-    vanishes, in lexicographic (row-major) order."""
-    p = system.ring.p
+    vanishes, in lexicographic (row-major) order.
+
+    A depth-first search sets the entries row by row, trying 0..p-1 at each,
+    so the points come out in the order of ``itertools.product``.  A t-free
+    generator is checked as soon as the last entry it mentions is set, a
+    generator in t on each full invertible matrix with t = 1/det, and a
+    branch is cut when a completed row depends on the rows above it (the
+    last row by the determinant).
+    """
+    ring, n = system.ring, system.n
+    p = ring.p
     if p is None:
         raise ValueError("locus enumeration requires a prime field")
-    n = system.n
     if p ** (n * n) > budget:
         raise BudgetExceeded(f"{p}^{n * n} points exceeds budget {budget}")
-    if system._checkers is None:
-        system._checkers = _compiled_checkers(system)
-    checkers = system._checkers
-    points = []
-    pm2 = p - 2
-    for flat in itertools.product(range(p), repeat=n * n):
-        d = _det_flat(flat, n, p)
-        if not d:
-            continue
-        tv = pow(d, pm2, p)
-        if all(fn(flat, tv, p) for fn in checkers):
-            points.append(tuple(tuple(flat[i * n + j] for j in range(n))
-                                for i in range(n)))
+    last = n * n - 1
+    buckets: list[list[Polynomial]] = [[] for _ in range(n * n)]
+    with_t: list[Polynomial] = []
+    for g in system.generators:
+        if any(mono[-1] for mono in g.terms):
+            with_t.append(g)
+        else:
+            buckets[max((idx for mono in g.terms
+                         for idx, e in enumerate(mono[:-1]) if e),
+                        default=0)].append(g)
+    theta = [[ring.zero] * n for _ in range(n)]
+    points: list[tuple] = []
+
+    def descend(k: int) -> None:
+        i, j = divmod(k, n)
+        for v in range(p):
+            theta[i][j] = v
+            if any(g.evaluate(theta) for g in buckets[k]):
+                continue
+            if k < last:
+                if j < n - 1 or len(linalg.rref(ring, theta[:i + 1])[1]) > i:
+                    descend(k + 1)
+                continue
+            d = linalg.det(ring, theta)
+            if d and not any(g.evaluate(theta, ring.invert(d)) for g in with_t):
+                points.append(tuple(map(tuple, theta)))
+
+    descend(0)
     return points

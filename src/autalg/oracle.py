@@ -76,19 +76,28 @@ def _multiplicativity_checks(pres: Presentation):
     return by_depth
 
 
-def _column_values(pres: Presentation, graded: bool):
+def _column_values(pres: Presentation, graded: bool, budget: int):
     """Admissible value tuples per column: support inside the generator set
-    for generator columns, and inside the degree block when graded."""
+    for generator columns, and inside the degree block when graded.
+
+    The search visits every first column, with one worker or many, so more
+    first columns than budget raise BudgetExceeded before any is built.
+    """
     p = pres.ring.p
     dim = pres.dim
     gen_set = set(pres.gens)
-    values = []
+    supports = []
     for j in range(dim):
         allowed = list(range(dim))
         if j in gen_set:
             allowed = [k for k in allowed if k in gen_set]
         if graded:
             allowed = [k for k in allowed if pres.degrees[k] == pres.degrees[j]]
+        supports.append(allowed)
+    if p ** len(supports[0]) > budget:
+        raise BudgetExceeded(f"more than {budget} candidate columns")
+    values = []
+    for allowed in supports:
         cols = []
         for picks in itertools.product(range(p), repeat=len(allowed)):
             v = [0] * dim
@@ -111,7 +120,7 @@ def enumerate_automorphisms(pres: Presentation, *, graded: bool = False,
     p = pres.ring.p
     if p is None:
         raise ValueError("the oracle enumerates over prime fields only")
-    column_values = _column_values(pres, graded)
+    column_values = _column_values(pres, graded, budget)
     first, rest = column_values[0], column_values[1:]
     if workers > 1:
         chunks = [[first[k::workers]] + rest for k in range(workers)]

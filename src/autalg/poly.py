@@ -8,6 +8,7 @@ graded lexicographic order, largest first.
 
 from __future__ import annotations
 
+import operator
 import re
 
 from .rings import Ring
@@ -99,7 +100,7 @@ class Polynomial:
         acc: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
+                mono = tuple(map(operator.add, m1, m2))
                 self._accum(acc, mono, ring.mul(c1, c2))
         return Polynomial(ring, self.n, acc)
 
@@ -119,8 +120,8 @@ class Polynomial:
         for mono, c in self.terms.items():
             v = c
             for x, e in zip(flat, mono):
-                for _ in range(e):
-                    v = ring.mul(v, x)
+                if e:
+                    v = ring.mul(v, x ** e)
             total = ring.add(total, v)
         return total
 

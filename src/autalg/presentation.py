@@ -258,7 +258,9 @@ def parse(text: str) -> Presentation:
     grading = "none"
     basis: list[str] = []
     degrees: list[int | None] = []
+    basis_lines: list[int] = []
     gens: list[str] | None = None
+    gens_line = 0
     fixed_raw: list[tuple[int, str]] = []
     mul_raw: list[tuple[int, str]] = []
     dtable: dict[tuple[int, int, int], int] = {}
@@ -285,6 +287,9 @@ def parse(text: str) -> Presentation:
                 labels = [int(tok) for tok in rest.split()]
             except ValueError:
                 raise PresentationSyntaxError(lineno, f"bad product labels {rest!r}") from None
+            if not labels or len(set(labels)) != len(labels):
+                raise PresentationSyntaxError(
+                    lineno, "product labels must be nonempty and duplicate-free")
         elif keyword == "grading":
             if rest not in ("none", "vertex", "table"):
                 raise PresentationSyntaxError(lineno, f"bad grading {rest!r}")
@@ -296,12 +301,14 @@ def parse(text: str) -> Presentation:
             if parts[0] in basis:
                 raise DuplicateBasis(f"line {lineno}: duplicate basis name {parts[0]!r}")
             basis.append(parts[0])
+            basis_lines.append(lineno)
             try:
                 degrees.append(int(parts[1]) if len(parts) == 2 else None)
             except ValueError:
                 raise PresentationSyntaxError(lineno, f"bad degree {parts[1]!r}") from None
         elif keyword == "generators":
             gens = rest.split()
+            gens_line = lineno
             if len(set(gens)) != len(gens):
                 raise PresentationSyntaxError(lineno, "duplicate generator name")
         elif keyword == "fixed":
@@ -335,16 +342,17 @@ def parse(text: str) -> Presentation:
     gen_idx = []
     for g in gens:
         if g not in names:
-            raise UnknownName(f"unknown generator name {g!r}")
+            raise UnknownName(f"line {gens_line}: unknown generator name {g!r}")
         gen_idx.append(names[g])
 
     if grading == "none":
         deg_list = None
     else:
-        missing = [basis[i] for i, d in enumerate(degrees) if d is None]
+        missing = [i for i, d in enumerate(degrees) if d is None]
         if missing:
             raise PresentationSyntaxError(
-                0, f"graded presentation but no degree for {missing[0]!r}")
+                basis_lines[missing[0]],
+                f"graded presentation but no degree for {basis[missing[0]]!r}")
         deg_list = [int(d) for d in degrees]
 
     dim = len(basis)
@@ -354,6 +362,8 @@ def parse(text: str) -> Presentation:
         if not m:
             raise PresentationSyntaxError(lineno, f"bad mul line {rest!r}")
         label = int(m.group(1))
+        if label not in labels:
+            raise UnknownName(f"line {lineno}: product label {label} not declared")
         for name in (m.group(2), m.group(3)):
             if name not in names:
                 raise UnknownName(f"line {lineno}: unknown basis name {name!r}")

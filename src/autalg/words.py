@@ -7,7 +7,7 @@ words are cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import LimitExceeded, MissingDegreeRule
 
@@ -78,7 +78,6 @@ class WordTable:
     universe: Universe
     max_length: int
     by_length: list[list[Word]]  # by_length[k-1] = words of length k
-    index: dict[Word, int] = field(repr=False, default_factory=dict)
 
     @property
     def words(self) -> list[Word]:
@@ -113,9 +112,7 @@ def enumerate_words(universe: Universe, max_length: int,
                     level.extend(node(left, m, right) for right in rights)
         by_length.append(level)
         total += count
-    table = WordTable(universe, max_length, by_length)
-    table.index = {w: i for i, w in enumerate(table.words)}
-    return table
+    return WordTable(universe, max_length, by_length)
 
 
 def vertex_degree_rule(alpha: int, m: int, beta: int) -> int:

@@ -1,10 +1,13 @@
+import itertools
 import random
 
 import pytest
 
-from autalg.autscheme import (check_point, generic_image, ideal_generators,
-                              kernel_basis, locus_points, theta_tilde_word)
-from autalg.errors import GradingViolation, TruncationTooShort
+from autalg.autscheme import (IdealSystem, check_point, generic_image,
+                              ideal_generators, kernel_basis, locus_points,
+                              theta_tilde_word)
+from autalg.errors import (BudgetExceeded, GradingViolation,
+                           TruncationTooShort)
 from autalg.freealg import FreeElement, eta_element, eta_evaluate
 from autalg.poly import (Polynomial, adjugate, determinant, format_poly,
                          generic_matrix, parse_poly)
@@ -287,20 +290,66 @@ def test_truncation_monotonicity(p2):
     assert pts3 == pts2  # stabilized already at L = 2
 
 
+def _reduce(system, p):
+    """A rational system with every coefficient reduced mod p, built by hand."""
+    from autalg.rings import reduce_mod_p
+    fp = GF(p)
+    return IdealSystem(system.n, fp, system.max_length, system.graded,
+                       system.fixed, system.inverse,
+                       [Polynomial(fp, system.n,
+                                   {m: r for m, c in g.terms.items()
+                                    if (r := reduce_mod_p(c, p))})
+                        for g in system.generators])
+
+
 def test_base_change_naturality(p2q):
     p = 3
-    sq = ideal_generators(p2q, 2)
+    reduced = _reduce(ideal_generators(p2q, 2), p)
     native = ideal_generators(base_change(p2q, p), 2)
-    f3 = GF(3)
-    from autalg.rings import reduce_mod_p
-    from autalg.autscheme import IdealSystem
-    reduced = IdealSystem(sq.n, f3, sq.max_length, sq.graded, sq.fixed,
-                          sq.inverse,
-                          [Polynomial(f3, sq.n,
-                                      {m: r for m, c in g.terms.items()
-                                       if (r := reduce_mod_p(c, p))})
-                           for g in sq.generators])
     assert set(locus_points(reduced)) == set(locus_points(native))
+
+
+def _scan(system):
+    """Every matrix in itertools.product order that check_point accepts."""
+    n, p = system.n, system.ring.p
+    return [pt for pt in (tuple(flat[i * n:(i + 1) * n] for i in range(n))
+                          for flat in itertools.product(range(p), repeat=n * n))
+            if check_point(system, pt)]
+
+
+def test_locus_search_matches_scan(p2q):
+    from conftest import CORPUS, load
+    from test_acceptance import _random_presentation
+    systems = []
+    for path in CORPUS:
+        pres = load(path.name)
+        if pres.ring.p is None:
+            continue
+        for length in (2, 3):
+            systems.append(ideal_generators(pres, length))
+            systems.append(ideal_generators(pres, length, inverse=False))
+            if pres.degrees is not None:
+                systems.append(ideal_generators(pres, length, graded=True))
+            if pres.fixed:
+                systems.append(ideal_generators(pres, length, fixed=True))
+    rng = random.Random(20260823)  # the acceptance-6 family, first ten
+    systems += [ideal_generators(_random_presentation(rng), 3)
+                for _ in range(10)]
+    systems.append(_reduce(ideal_generators(p2q, 2), 3))  # acceptance 8
+    # SL_2(F_3): only a generator in t cuts, so the t = 1/det check must run
+    systems.append(IdealSystem(2, F3, 1, False, False, True,
+                               [parse_poly("1 * t + 2", F3, 2)]))
+    assert any(s.n == 1 for s in systems)
+    for system in systems:
+        assert locus_points(system) == _scan(system)
+    assert len(locus_points(systems[-1])) == 24
+
+
+def test_locus_budget(p2):
+    system = ideal_generators(p2, 2)
+    with pytest.raises(BudgetExceeded):
+        locus_points(system, budget=3 ** 4 - 1)
+    assert len(locus_points(system, budget=3 ** 4)) == 6
 
 
 def test_graded_option_requires_grading(p2):

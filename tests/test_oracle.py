@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from conftest import CORPUS, load
@@ -6,6 +8,7 @@ from autalg.errors import BudgetExceeded
 from autalg.oracle import (compare_locus, enumerate_automorphisms,
                            enumerate_automorphisms_via_section, format_matrix,
                            parse_matrix)
+from autalg.presentation import parse
 from autalg.rings import GF
 from autalg import linalg
 
@@ -84,6 +87,23 @@ def test_oracle_budget():
         enumerate_automorphisms(pres, budget=3)
     with pytest.raises(BudgetExceeded):
         enumerate_automorphisms_via_section(pres, budget=3)
+
+
+def test_oracle_budget_before_columns():
+    # six-dimensional zero products over F_7: 7^6 candidate first columns
+    names = [f"e{k}" for k in range(6)]
+    pres = parse("ring Fp 7\nproducts 0\n"
+                 + "".join(f"basis {nm}\n" for nm in names)
+                 + "generators " + " ".join(names) + "\n")
+    tracemalloc.start()
+    try:
+        for workers in (1, 2):
+            with pytest.raises(BudgetExceeded):
+                enumerate_automorphisms(pres, budget=1, workers=workers)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_oracle_rejects_rationals(p1):

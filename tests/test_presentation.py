@@ -24,6 +24,8 @@ def test_parse_errors():
     base = "ring Q\nproducts 0\nbasis x\nbasis y\ngenerators x\n"
     with pytest.raises(UnknownName):
         parse(base + "mul 0 x x = 1*z\n")
+    with pytest.raises(UnknownName, match="line 6: product label 1"):
+        parse(base + "mul 1 x x = 1*y\n")
     with pytest.raises(DuplicateBasis):
         parse("ring Q\nproducts 0\nbasis x\nbasis x\ngenerators x\n")
     with pytest.raises(PresentationSyntaxError):
@@ -32,7 +34,7 @@ def test_parse_errors():
         parse("ring Q\nbasis x\ngenerators x\n")  # missing products
     with pytest.raises(BadPrime):
         parse("ring Fp 6\nproducts 0\nbasis x\ngenerators x\n")
-    with pytest.raises(UnknownName):
+    with pytest.raises(UnknownName, match="line 4: unknown generator"):
         parse("ring Q\nproducts 0\nbasis x\ngenerators z\n")
     # ambiguous input: rejected at the offending line, not last-line-wins
     for text, line in [
@@ -45,6 +47,12 @@ def test_parse_errors():
         (base + "dtable 1 0 1 = 2\n", 6),
         ("ring Q\nproducts 0\ngrading table\nbasis x 1\ngenerators x\n"
          "dtable 1 0 1 = 2\ndtable 1 0 1 = 3\n", 7),
+        # semantic errors point at the line that causes them
+        ("ring Q\nproducts 0 0\nbasis x\ngenerators x\n", 2),
+        ("ring Q\nproducts 0\ngrading vertex\nbasis x 0\nbasis y\n"
+         "generators x\n", 5),
+        ("ring Q\nproducts 0\nbasis x\nbasis y 1\ngrading table\n"
+         "generators x\n", 3),
     ]:
         with pytest.raises(PresentationSyntaxError) as exc:
             parse(text)
