@@ -94,7 +94,6 @@ def theta_tilde_word(theta: list[list], w: Word, universe: Universe,
 class KernelBasis:
     """Reduced-echelon basis of the truncated kernel of the evaluation map."""
 
-    max_length: int
     vectors: list[FreeElement]
     table: WordTable
 
@@ -129,7 +128,7 @@ def kernel_basis(pres: Presentation, max_length: int,
         for i, x in entries:
             e.terms[words[i]] = x
         vectors.append(e)
-    return KernelBasis(max_length, vectors, table)
+    return KernelBasis(vectors, table)
 
 
 @dataclass

@@ -53,10 +53,6 @@ class FreeElement:
         return FreeElement(self.ring, {w: self.ring.neg(x) for w, x in self.terms.items()})
 
 
-def word_element(ring: Ring, w: Word) -> FreeElement:
-    return FreeElement(ring, {w: ring.one})
-
-
 def m_product(a: FreeElement, b: FreeElement, m: int, universe: Universe) -> FreeElement:
     """Bilinear extension of the magma product to free elements."""
     ring = a.ring

@@ -312,10 +312,11 @@ def compare_locus(pres: Presentation, system: IdealSystem, *,
                   graded: bool = False, fixed: bool = False,
                   budget: int = DEFAULT_BUDGET, workers: int = 1) -> ComparisonReport:
     """Scan GL_N for the vanishing locus and match it, as a set, against the
-    restrictions of the exhaustively enumerated automorphisms."""
+    restrictions of the exhaustively enumerated automorphisms.  The locus
+    comes first, so a budget below p^(N^2) raises before the oracle runs."""
+    locus = locus_points(system, budget=budget)
     autos = enumerate_automorphisms(pres, graded=graded, fixed=fixed,
                                     budget=budget, workers=workers)
-    locus = locus_points(system, budget=budget)
     locus_set = set(locus)
     oracle_set = set(autos.restricted)
     return ComparisonReport(

@@ -183,19 +183,6 @@ def adjugate(mat: list[list[Polynomial]]) -> list[list[Polynomial]]:
     return adj
 
 
-def matrix_mul(a: list[list[Polynomial]], b: list[list[Polynomial]]) -> list[list[Polynomial]]:
-    n = len(a)
-    ring, arity = a[0][0].ring, a[0][0].n
-    out = [[Polynomial.zero(ring, arity) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            if not a[i][k]:
-                continue
-            for j in range(n):
-                out[i][j] = out[i][j].add(a[i][k].mul(b[k][j]))
-    return out
-
-
 # -- canonical text form ------------------------------------------------------
 
 def _grlex_key(mono: tuple) -> tuple:

@@ -26,10 +26,10 @@ from dataclasses import dataclass, field
 from . import linalg
 from .errors import (BadPrime, DuplicateBasis, GradingViolation, NotGenerating,
                      PresentationSyntaxError, UnknownName)
-from .freealg import FreeElement, eta_element, eta_evaluate, structure_product
+from .freealg import FreeElement, eta_element, eta_matrix, structure_product
 from .rings import QQ, GF, Ring, parse_ring, reduce_mod_p
-from .words import (DEFAULT_WORD_CAP, Universe, enumerate_words,
-                    table_degree_rule, vertex_degree_rule)
+from .words import (DEFAULT_WORD_CAP, Universe, table_degree_rule,
+                    vertex_degree_rule)
 
 _TERM_SPLIT = re.compile(r"\s*\+\s*")
 
@@ -82,15 +82,25 @@ class Presentation:
             raise DuplicateBasis("basis names are not unique")
         if not self.gens:
             raise UnknownName("generator set is empty")
+        if any(not 0 <= i < self.dim for i in self.gens):
+            raise PresentationSyntaxError(0, "generator index out of range")
+        if len(set(self.gens)) != len(self.gens):
+            raise PresentationSyntaxError(0, "duplicate generator index")
         if not self.labels or len(set(self.labels)) != len(self.labels):
             raise PresentationSyntaxError(0, "product labels must be nonempty and duplicate-free")
         if self.grading != "none" and self.degrees is None:
             raise PresentationSyntaxError(0, "graded presentation requires basis degrees")
+        if self.degrees is not None and len(self.degrees) != self.dim:
+            raise PresentationSyntaxError(0, "need one degree per basis element")
         for (m, i, j), vec in self.mul.items():
             if m not in self.labels:
                 raise UnknownName(f"product label {m} not declared")
+            if not (0 <= i < self.dim and 0 <= j < self.dim):
+                raise PresentationSyntaxError(0, "structure constant index out of range")
             if len(vec) != self.dim:
                 raise PresentationSyntaxError(0, "structure constant vector has wrong length")
+        if any(len(vec) != self.dim for vec in self.fixed):
+            raise PresentationSyntaxError(0, "fixed vector has wrong length")
         d = self.degree_rule()
         if d is not None:
             for (m, i, j), vec in self.mul.items():
@@ -117,7 +127,6 @@ class SectionData:
     """For each basis element, a free-algebra preimage under evaluation."""
 
     elements: list[FreeElement]
-    pivot_words: list
     max_length: int
 
 
@@ -126,10 +135,12 @@ def generation_closure(pres: Presentation, cap: int = DEFAULT_WORD_CAP) -> Secti
     section of the evaluation map.
 
     The span of the generators is closed under all products round by round
-    (stable in at most dim rounds).  If it reaches the whole algebra, words
-    over the generators are scanned in canonical order, shortest first, and
-    greedy Gaussian pivoting picks one preimage word combination per basis
-    element.
+    (stable in at most dim rounds).  If it reaches the whole algebra, the
+    section is read off the pivot columns of ``linalg.rref`` over the eta
+    matrix of the shortest truncation whose words span the algebra: the
+    pivot words are those whose image is independent of every earlier word
+    in canonical order, and inverting their images gives one preimage
+    combination per basis element.
     """
     ring, dim = pres.ring, pres.dim
 
@@ -158,49 +169,24 @@ def generation_closure(pres: Presentation, cap: int = DEFAULT_WORD_CAP) -> Secti
         rounds += 1
 
     # shortest-word pivots: closure in r rounds means length 2^(r-1) suffices
-    max_needed = 1 << (rounds - 1)
-    pivot_words: list = []
-    pivot_images: list[tuple] = []
-    reduced: list[list] = []
-    length = 0
-    while len(pivot_words) < dim:
-        length += 1
-        if length > max_needed:
-            raise AssertionError("section search exceeded its length bound")
-        table = enumerate_words(pres.universe, length, cap)
-        for w in table.by_length[length - 1]:
-            img = eta_evaluate(w, pres)
-            resid = list(img)
-            for row in reduced:
-                c = next((i for i, x in enumerate(row) if x), None)
-                if resid[c]:
-                    f = resid[c]
-                    resid = [ring.sub(x, ring.mul(f, y)) for x, y in zip(resid, row)]
-            if any(resid):
-                inv = ring.invert(next(x for x in resid if x))
-                norm = [ring.mul(inv, x) for x in resid]
-                for row in reduced:
-                    c = next(i for i, x in enumerate(norm) if x)
-                    if row[c]:
-                        f = row[c]
-                        row[:] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(row, norm)]
-                reduced.append(norm)
-                pivot_words.append(w)
-                pivot_images.append(img)
-                if len(pivot_words) == dim:
-                    break
+    for length in range(1, (1 << (rounds - 1)) + 1):
+        eta, table = eta_matrix(pres, length, cap)
+        _, pivots = linalg.rref(ring, eta)
+        if len(pivots) == dim:
+            break
+    else:
+        raise AssertionError("section search exceeded its length bound")
 
-    # solve V c = e_i with V the pivot-image column matrix
-    vmat = [[pivot_images[j][i] for j in range(dim)] for i in range(dim)]
-    vinv = linalg.inverse(ring, vmat)
+    # solve V c = e_i with V the pivot columns of eta
+    words = table.words
+    vinv = linalg.inverse(ring, [[row[c] for c in pivots] for row in eta])
     elements = []
     for i in range(dim):
         e = FreeElement(ring)
-        for j in range(dim):
-            e.add_term(pivot_words[j], vinv[j][i])
+        for j, c in enumerate(pivots):
+            e.add_term(words[c], vinv[j][i])
         elements.append(e)
-    section = SectionData(elements, pivot_words,
-                          max(w.length for w in pivot_words))
+    section = SectionData(elements, length)
     for i, e in enumerate(section.elements):
         img = eta_element(e, pres)
         expect = tuple(ring.one if k == i else ring.zero for k in range(dim))

@@ -51,19 +51,12 @@ class Ring:
                 raise BadPrime(f"{self.p} is not a prime in [2, 2^31-1]")
 
     @property
-    def kind(self) -> str:
-        return "rationals" if self.p is None else "prime-field"
-
-    @property
     def zero(self):
         return Fraction(0) if self.p is None else 0
 
     @property
     def one(self):
         return Fraction(1) if self.p is None else 1
-
-    def of_int(self, n: int):
-        return Fraction(n) if self.p is None else n % self.p
 
     def add(self, a, b):
         return a + b if self.p is None else (a + b) % self.p

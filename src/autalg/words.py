@@ -30,12 +30,6 @@ class Word:
     def is_leaf(self) -> bool:
         return self.left is None
 
-    def decompose(self):
-        """Leaf index, or the unique (left, label, right) triple."""
-        if self.left is None:
-            return self.gen
-        return (self.left, self.label, self.right)
-
     def __repr__(self):
         if self.left is None:
             return f"x{self.gen}"
@@ -73,18 +67,13 @@ class Universe:
 
 @dataclass
 class WordTable:
-    """All words of length <= max_length, per length, in canonical order."""
+    """All words up to a length, per length, in canonical order."""
 
-    universe: Universe
-    max_length: int
     by_length: list[list[Word]]  # by_length[k-1] = words of length k
 
     @property
     def words(self) -> list[Word]:
         return [w for lvl in self.by_length for w in lvl]
-
-    def counts(self) -> list[int]:
-        return [len(lvl) for lvl in self.by_length]
 
 
 def enumerate_words(universe: Universe, max_length: int,
@@ -112,16 +101,12 @@ def enumerate_words(universe: Universe, max_length: int,
                     level.extend(node(left, m, right) for right in rights)
         by_length.append(level)
         total += count
-    return WordTable(universe, max_length, by_length)
+    return WordTable(by_length)
 
 
 def vertex_degree_rule(alpha: int, m: int, beta: int) -> int:
     """Degree of an m-product of homogeneous pieces in a graded vertex algebra."""
     return alpha + beta - m - 1
-
-
-def additive_degree_rule(alpha: int, m: int, beta: int) -> int:
-    return alpha + beta
 
 
 def table_degree_rule(entries: dict[tuple[int, int, int], int]):

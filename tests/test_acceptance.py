@@ -54,8 +54,9 @@ def test_acceptance_1_word_counting(capsys):
                                         cap=10**7)
                 closed = [catalan(k - 1) * n**k * nl ** (k - 1)
                           for k in range(1, 7)]
-                assert table.counts() == closed
-                assert table.counts() == brute_counts(n, nl, 6)
+                sizes = [len(level) for level in table.by_length]
+                assert sizes == closed
+                assert sizes == brute_counts(n, nl, 6)
 
 
 def test_acceptance_2_zero_products(capsys):

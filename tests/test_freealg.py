@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 from autalg.freealg import (FreeElement, eta_evaluate, eta_matrix, m_product,
-                            structure_product, word_element)
+                            structure_product)
 from autalg.rings import GF, QQ
 from autalg.words import Universe, enumerate_words
 
@@ -10,7 +10,7 @@ from autalg.words import Universe, enumerate_words
 def test_m_product_examples():
     u = Universe(2, [0])
     x, y = u.leaf(1), u.leaf(2)
-    ex = word_element(QQ, x)
+    ex = FreeElement(QQ, {x: QQ.one})
     assert m_product(ex, ex, 0, u).terms == {u.node(x, 0, x): Fraction(1)}
 
     two_x_plus_y = FreeElement(QQ, {x: Fraction(2), y: Fraction(1)})
@@ -74,7 +74,7 @@ def test_eta_is_multiplicative(p2):
     for w in table.words:
         if w.is_leaf:
             continue
-        left, m, right = w.decompose()
+        left, m, right = w.left, w.label, w.right
         expected = structure_product(p2, eta_evaluate(left, p2),
                                      eta_evaluate(right, p2), m)
         assert eta_evaluate(w, p2) == expected

@@ -118,6 +118,21 @@ def test_compare_equal(p2):
     assert report.locus_size == report.oracle_size == 6
 
 
+def test_compare_budget_before_oracle(monkeypatch):
+    # x.x = z over F_5: the oracle alone takes seconds, the budget check none
+    pres = parse("ring Fp 5\nproducts 0\nbasis x\nbasis y\nbasis z\n"
+                 "generators x y z\nmul 0 x x = 1*z\n")
+    system = ideal_generators(pres, 2)
+
+    def oracle_called(*args, **kwargs):
+        raise AssertionError("the oracle ran before the locus budget check")
+
+    monkeypatch.setattr("autalg.oracle.enumerate_automorphisms", oracle_called)
+    n, p = system.n, pres.ring.p
+    with pytest.raises(BudgetExceeded):
+        compare_locus(pres, system, budget=p ** (n * n) - 1)
+
+
 def test_compare_detects_short_truncation():
     # the y.x = x relation is invisible below word length 3
     pres = load("p3_f5.malg")

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 from autalg.poly import (Polynomial, adjugate, determinant, format_poly,
-                         generic_matrix, matrix_mul, parse_poly)
+                         generic_matrix, parse_poly)
 from autalg.rings import GF, QQ
 
 F2 = GF(2)
@@ -12,6 +12,19 @@ F5 = GF(5)
 
 def X(ring, n, i, j):
     return Polynomial.variable(ring, n, i, j)
+
+
+def matrix_mul(a, b):
+    n = len(a)
+    ring, arity = a[0][0].ring, a[0][0].n
+    out = [[Polynomial.zero(ring, arity) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for k in range(n):
+            if not a[i][k]:
+                continue
+            for j in range(n):
+                out[i][j] = out[i][j].add(a[i][k].mul(b[k][j]))
+    return out
 
 
 def test_add_cancellation():
@@ -30,7 +43,7 @@ def test_mul_distributes():
 
 
 def test_scale_char_two():
-    assert not X(F2, 2, 2, 1).scale(F2.of_int(2))
+    assert not X(F2, 2, 2, 1).scale(F2.parse("2"))
 
 
 def test_evaluate_examples():
@@ -104,7 +117,7 @@ def test_format_parse_roundtrip_random():
             p = Polynomial.zero(ring, n)
             for _ in range(rng.randrange(6)):
                 mono = tuple(rng.randrange(3) for _ in range(n * n + 1))
-                c = ring.of_int(rng.randint(-6, 6))
+                c = ring.parse(str(rng.randint(-6, 6)))
                 p = p.add(Polynomial(ring, n, {mono: c}) if c else
                           Polynomial.zero(ring, n))
             assert parse_poly(format_poly(p), ring, n) == p

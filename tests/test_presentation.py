@@ -5,9 +5,10 @@ import pytest
 from conftest import CORPUS, load
 from autalg.errors import (BadPrime, DuplicateBasis, GradingViolation,
                            NotGenerating, PresentationSyntaxError, UnknownName)
-from autalg.freealg import eta_element, eta_evaluate
-from autalg.presentation import (base_change, format_presentation,
-                                 generation_closure, parse)
+from autalg import linalg
+from autalg.freealg import eta_element, eta_evaluate, eta_matrix
+from autalg.presentation import (Presentation, base_change,
+                                 format_presentation, generation_closure, parse)
 from autalg.rings import GF, QQ
 from autalg.words import enumerate_words
 
@@ -57,6 +58,24 @@ def test_parse_errors():
         with pytest.raises(PresentationSyntaxError) as exc:
             parse(text)
         assert exc.value.line == line, text
+
+
+def test_validate_rejects_out_of_range():
+    # presentations built in code pass the index and length checks of parse
+    one, zero = QQ.one, QQ.zero
+    base = dict(ring=QQ, basis=["x", "y"], degrees=None, labels=[0], gens=[0],
+                mul={(0, 0, 0): (zero, one)})
+    Presentation(**base)
+    for change in [
+        dict(gens=[7]),
+        dict(gens=[0, 0]),
+        dict(mul={(0, 5, 0): (zero, one)}),
+        dict(degrees=[1], gens=[0, 1]),
+        dict(fixed=[(one,)]),
+    ]:
+        with pytest.raises(PresentationSyntaxError) as exc:
+            Presentation(**{**base, **change})
+        assert exc.value.line == 0, change
 
 
 def test_grading_violation():
@@ -115,6 +134,10 @@ def test_section_inverts_eta():
             img = eta_element(e, pres)
             assert [bool(c) for c in img] == [k == i for k in range(pres.dim)]
             assert img[i] == pres.ring.one
+        # shortest first: the words one length shorter do not span the algebra
+        if section.max_length > 1:
+            eta, _ = eta_matrix(pres, section.max_length - 1)
+            assert len(linalg.rref(pres.ring, eta)[1]) < pres.dim, path.name
 
 
 def test_deep_section():
@@ -127,6 +150,20 @@ def test_deep_section():
     x = u.leaf(1)
     xx = u.node(x, 0, x)
     assert section.elements[2].terms == {u.node(xx, 0, xx): Fraction(1)}
+
+
+def test_section_dependent_word_and_fraction():
+    # x.(x.x) = 2y is nonzero but depends on x.x, and V^-1 = diag(1, 1/2, 1/2)
+    pres = parse("ring Q\nproducts 0\nbasis x\nbasis y\nbasis z\ngenerators x\n"
+                 "mul 0 x x = 2*y\nmul 0 x y = 1*y\nmul 0 y x = 1*z\n")
+    section = generation_closure(pres)
+    assert section.max_length == 3
+    u = pres.universe
+    x = u.leaf(1)
+    xx = u.node(x, 0, x)
+    assert section.elements[0].terms == {x: Fraction(1)}
+    assert section.elements[1].terms == {xx: Fraction(1, 2)}
+    assert section.elements[2].terms == {u.node(xx, 0, x): Fraction(1, 2)}
 
 
 def test_base_change_examples(p2q, p0):

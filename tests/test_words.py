@@ -3,9 +3,8 @@ import math
 import pytest
 
 from autalg.errors import LimitExceeded, MissingDegreeRule
-from autalg.words import (Universe, additive_degree_rule, enumerate_words,
-                          format_word, table_degree_rule, vertex_degree_rule,
-                          word_degree)
+from autalg.words import (Universe, enumerate_words, format_word,
+                          table_degree_rule, vertex_degree_rule, word_degree)
 
 
 def brute_counts(num_gens, num_labels, max_length):
@@ -21,10 +20,14 @@ def catalan(n):
     return math.comb(2 * n, n) // (n + 1)
 
 
+def level_sizes(table):
+    return [len(level) for level in table.by_length]
+
+
 def test_count_examples():
-    assert enumerate_words(Universe(1, [0]), 4).counts() == [1, 1, 2, 5]
-    assert enumerate_words(Universe(2, [0]), 2).counts() == [2, 4]
-    assert enumerate_words(Universe(1, [-1, 0]), 3).counts() == [1, 2, 8]
+    assert level_sizes(enumerate_words(Universe(1, [0]), 4)) == [1, 1, 2, 5]
+    assert level_sizes(enumerate_words(Universe(2, [0]), 2)) == [2, 4]
+    assert level_sizes(enumerate_words(Universe(1, [-1, 0]), 3)) == [1, 2, 8]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -33,18 +36,18 @@ def test_counting_closed_form(n, nl):
     labels = list(range(nl))
     table = enumerate_words(Universe(n, labels), 5)
     expected = [catalan(k - 1) * n**k * nl ** (k - 1) for k in range(1, 6)]
-    assert table.counts() == expected
-    assert table.counts() == brute_counts(n, nl, 5)
+    assert level_sizes(table) == expected
+    assert level_sizes(table) == brute_counts(n, nl, 5)
 
 
 def test_decompose():
     u = Universe(2, [-1, 0])
     x, y = u.leaf(1), u.leaf(2)
-    assert x.decompose() == 1
+    assert x.is_leaf and x.gen == 1
     w = u.node(x, 0, y)
-    assert w.decompose() == (x, 0, y)
+    assert (w.left, w.label, w.right) == (x, 0, y)
     deep = u.node(u.node(x, 0, x), -1, x)
-    assert deep.decompose() == (u.node(x, 0, x), -1, x)
+    assert (deep.left, deep.label, deep.right) == (u.node(x, 0, x), -1, x)
     assert deep.length == 3
 
 
@@ -61,11 +64,11 @@ def test_unique_decomposition_bijection():
     for w in table.words:
         if w.is_leaf:
             continue
-        left, m, right = w.decompose()
+        left, m, right = w.left, w.label, w.right
         assert left.length + right.length == w.length
         assert u.node(left, m, right) is w
     # decomposition is injective on each length level
-    triples = {w.decompose() for lvl in table.by_length[1:] for w in lvl}
+    triples = {(w.left, w.label, w.right) for lvl in table.by_length[1:] for w in lvl}
     assert len(triples) == sum(len(lvl) for lvl in table.by_length[1:])
 
 
@@ -92,7 +95,7 @@ def test_word_degree_examples():
     u2 = Universe(1, [0])
     x = u2.leaf(1)
     w3 = u2.node(u2.node(x, 0, x), 0, x)
-    assert word_degree(w3, [1], additive_degree_rule) == 3
+    assert word_degree(w3, [1], lambda a, m, b: a + b) == 3
 
 
 def test_word_degree_top_down_equals_bottom_up():
