@@ -16,7 +16,9 @@ points of the locus by a depth-first search over the matrix entries, and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import linalg
 from .errors import BudgetExceeded, GradingViolation, TruncationTooShort
@@ -159,16 +161,22 @@ def _add_scaled(acc: dict, q: Polynomial, f) -> None:
 
 def _word_images(pres: Presentation, leaves: list[list[Polynomial]]):
     """psi(w): coordinates in the presented algebra of the image of w under
-    the endomorphism sending generator j to sum_i leaves[i][j] * x_i.
+    the endomorphism sending generator j to sum_i leaves[i][j] * x_i, and
+    the scale D of those coordinates.
 
     psi(w1 <m> w2) is the m-product of psi(w1) and psi(w2) through the
     structure constants; memoized on interned words, so each subword is
-    expanded once.
+    expanded once.  The coefficients are ints: each structure constant s
+    enters as s * D, with D the lcm of their denominators (1 over F_p), and
+    the leaves must be integral, so psi(w) holds D^(|w|-1) times the true
+    coordinates.  Only ``_coordinates`` reads them.
     """
     ring, n = pres.ring, pres.num_gens
+    scale = math.lcm(*(s.denominator for vec in pres.mul.values() for s in vec))
     consts: dict[int, list] = {m: [] for m in pres.labels}
     for (m, i, j), vec in pres.mul.items():
-        consts[m].append((i, j, [(k, s) for k, s in enumerate(vec) if s]))
+        consts[m].append((i, j, [(k, int(s * scale))
+                                 for k, s in enumerate(vec) if s]))
     memo: dict = {}
 
     def psi(w: Word) -> list[Polynomial]:
@@ -176,7 +184,9 @@ def _word_images(pres: Presentation, leaves: list[list[Polynomial]]):
             acc: list[dict] = [{} for _ in range(pres.dim)]
             if w.is_leaf:
                 for i, g in enumerate(pres.gens):
-                    _add_scaled(acc[g], leaves[i][w.gen - 1], ring.one)
+                    leaf = leaves[i][w.gen - 1].terms
+                    assert all(c.denominator == 1 for c in leaf.values())
+                    acc[g] = {mono: c.numerator for mono, c in leaf.items()}
             else:
                 left, right = psi(w.left), psi(w.right)
                 for i, j, vec in consts[w.label]:
@@ -187,16 +197,45 @@ def _word_images(pres: Presentation, leaves: list[list[Polynomial]]):
             memo[w] = [Polynomial(ring, n, terms) for terms in acc]
         return memo[w]
 
-    return psi
+    return psi, scale
 
 
-def _coordinates(element: FreeElement, psi, pres: Presentation) -> list[Polynomial]:
-    """Coordinates of the image of a free element: sum_w alpha_w psi(w)."""
+def _coordinates(element: FreeElement, images, pres: Presentation) -> list[Polynomial]:
+    """Coordinates of the image of a free element: sum_w alpha_w psi(w).
+
+    With A the lcm of the denominators of alpha and ``top`` the longest
+    word, the sum runs on ints as sum_w (alpha_w A) D^(top-|w|) psi(w),
+    which is A D^(top-1) times the coordinates; over the rationals each
+    coefficient is then divided once, one ``Fraction`` per numerator.
+    """
+    psi, scale = images
+    ring = pres.ring
+    factors = element.terms.items()
+    if ring.p is None:
+        denom = math.lcm(*(alpha.denominator for alpha in element.terms.values()))
+        top = max((w.length for w in element.terms), default=1)
+        factors = [(w, int(alpha * denom) * scale ** (top - w.length))
+                   for w, alpha in factors]
     acc: list[dict] = [{} for _ in range(pres.dim)]
-    for w, alpha in element.terms.items():
+    for w, f in factors:
         for terms, q in zip(acc, psi(w)):
-            _add_scaled(terms, q, alpha)
-    return [Polynomial(pres.ring, pres.num_gens, terms) for terms in acc]
+            _add_scaled(terms, q, f)
+    if ring.p is None:
+        denom *= scale ** (top - 1)
+        quotients: dict[int, Fraction] = {}
+        for terms in acc:
+            for mono, c in terms.items():
+                q = quotients.get(c)
+                if q is None:
+                    q = quotients[c] = Fraction(c, denom)
+                terms[mono] = q
+    return [Polynomial(ring, pres.num_gens, terms) for terms in acc]
+
+
+def _unit_determinant(ring: Ring, n: int) -> Polynomial:
+    """t * det(X) - 1, which vanishes exactly when t = 1/det(X)."""
+    t_det = Polynomial.t_var(ring, n).mul(poly_determinant(generic_matrix(ring, n)))
+    return t_det.sub(Polynomial.constant(ring, n, ring.one))
 
 
 def ideal_generators(pres: Presentation, max_length: int, *,
@@ -214,11 +253,11 @@ def ideal_generators(pres: Presentation, max_length: int, *,
     ring, n = pres.ring, pres.num_gens
     kb = kernel_basis(pres, max_length, cap)
     gm = generic_matrix(ring, n)
-    psi = _word_images(pres, gm)
+    images = _word_images(pres, gm)
 
     gens: list[Polynomial] = []
     for vec in kb.vectors:
-        gens.extend(_coordinates(vec, psi, pres))
+        gens.extend(_coordinates(vec, images, pres))
 
     if graded:
         if pres.degrees is None:
@@ -237,18 +276,17 @@ def ideal_generators(pres: Presentation, max_length: int, *,
             for i, c in enumerate(v):
                 if c:
                     sigma = sigma.add(section.elements[i].scale(c))
-            coords = _coordinates(sigma, psi, pres)
+            coords = _coordinates(sigma, images, pres)
             for ell, c in enumerate(v):
                 gens.append(coords[ell].sub(Polynomial.constant(ring, n, c)))
 
     if inverse:
         t = Polynomial.t_var(ring, n)
-        psi_inv = _word_images(pres, [[t.mul(a) for a in row]
-                                      for row in adjugate(gm)])
+        inv_images = _word_images(pres, [[t.mul(a) for a in row]
+                                         for row in adjugate(gm)])
         for vec in kb.vectors:
-            gens.extend(_coordinates(vec, psi_inv, pres))
-        det = poly_determinant(gm)
-        gens.append(t.mul(det).sub(Polynomial.constant(ring, n, ring.one)))
+            gens.extend(_coordinates(vec, inv_images, pres))
+        gens.append(_unit_determinant(ring, n))
 
     seen = set()
     unique = []
@@ -286,7 +324,8 @@ def locus_points(system: IdealSystem, budget: int = 10**8) -> list[tuple]:
     generator is checked as soon as the last entry it mentions is set, a
     generator in t on each full invertible matrix with t = 1/det, and a
     branch is cut when a completed row depends on the rows above it (the
-    last row by the determinant).
+    last row by the determinant).  t * det - 1 vanishes at every such
+    matrix, so it is never evaluated.
     """
     ring, n = system.ring, system.n
     p = ring.p
@@ -295,11 +334,13 @@ def locus_points(system: IdealSystem, budget: int = 10**8) -> list[tuple]:
     if p ** (n * n) > budget:
         raise BudgetExceeded(f"{p}^{n * n} points exceeds budget {budget}")
     last = n * n - 1
+    unit = _unit_determinant(ring, n)
     buckets: list[list[Polynomial]] = [[] for _ in range(n * n)]
     with_t: list[Polynomial] = []
     for g in system.generators:
         if any(mono[-1] for mono in g.terms):
-            with_t.append(g)
+            if g != unit:
+                with_t.append(g)
         else:
             buckets[max((idx for mono in g.terms
                          for idx, e in enumerate(mono[:-1]) if e),

@@ -74,7 +74,7 @@ class Ring:
         if not a:
             raise ZeroInverse("inverse of zero")
         if self.p is None:
-            return 1 / a
+            return Fraction(1) / a
         return pow(a, self.p - 2, self.p)
 
     def format(self, a) -> str:

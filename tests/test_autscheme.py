@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -127,17 +128,69 @@ def _reference_generators(pres, max_length, fixed, inverse):
     return list(unique.values())
 
 
+RATIONAL_COEFFS = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2),
+                   Fraction(-3), Fraction(2, 3), Fraction(3, 5), Fraction(-5, 7)]
+
+
+def _rational_presentation(rng, dim):
+    """A random presentation over Q with labels {0, 1}, every basis element
+    a generator, and structure constants with denominators 2, 3, 5 and 7."""
+    names = ["e1", "e2", "e3"][:dim]
+    lines = ["ring Q", "products 0 1", *(f"basis {nm}" for nm in names),
+             "generators " + " ".join(names)]
+    for m in (0, 1):
+        for i in range(dim):
+            for j in range(dim):
+                if rng.random() < 0.3:
+                    vec = [rng.choice(RATIONAL_COEFFS) if rng.random() < 0.5
+                           else 0 for _ in range(dim)]
+                    if any(vec):
+                        combo = " + ".join(f"{c}*{names[k]}"
+                                           for k, c in enumerate(vec) if c)
+                        lines.append(f"mul {m} {names[i]} {names[j]} = {combo}")
+    return parse("\n".join(lines) + "\n")
+
+
 def test_ideal_matches_reference_paths():
     from conftest import CORPUS, load
     from test_acceptance import _random_presentation
     rng = random.Random(20260823)  # the acceptance-6 family, first ten
     family = [_random_presentation(rng) for _ in range(10)]
+    rng = random.Random(8)
+    family += [_rational_presentation(rng, dim) for dim in (2, 3) * 4]
+    assert any(pres.ring.p is None and any(
+        s.denominator > 1 for vec in pres.mul.values() for s in vec)
+        for pres in family)
     for pres in [load(path.name) for path in CORPUS] + family:
         fixed = bool(pres.fixed)
         for inverse in (False, True):
             system = ideal_generators(pres, 3, fixed=fixed, inverse=inverse)
             assert system.generators == \
                 _reference_generators(pres, 3, fixed, inverse)
+
+
+def test_rational_coefficients_are_fractions():
+    # ints scale the recursion inside ideal_generators; none may leak out
+    from conftest import CORPUS, load
+    systems = []
+    for path in CORPUS:
+        pres = load(path.name)
+        if pres.ring.p is not None:
+            continue
+        for length in (2, 3):
+            systems += [ideal_generators(pres, length),
+                        ideal_generators(pres, length, inverse=False)]
+            if pres.degrees is not None:
+                systems.append(ideal_generators(pres, length, graded=True))
+            if pres.fixed:
+                systems.append(ideal_generators(pres, length, fixed=True))
+    systems.append(ideal_generators(
+        _rational_presentation(random.Random(7), 3), 3))
+    assert any(c.denominator > 1 for s in systems for g in s.generators
+               for c in g.terms.values())
+    for system in systems:
+        for g in system.generators:
+            assert all(type(c) is Fraction for c in g.terms.values())
 
 
 def test_kernel_basis_p0(p0):
@@ -243,6 +296,16 @@ def test_ideal_degree_bound(p2):
         assert g.total_degree() <= 3
 
 
+def test_check_point_int_matrix(p2q):
+    # [[a, 0], [b, a^2]] is an automorphism of x.x = y; over Q its entries
+    # may be plain ints
+    system = ideal_generators(p2q, 2)
+    for a in range(1, 40):
+        for b in range(1, 40):
+            assert check_point(system, [[a, 0], [b, a * a]])
+    assert not check_point(system, [[9, 0], [1, 80]])
+
+
 def test_check_point_examples(p2):
     system = ideal_generators(p2, 2)
     assert check_point(system, [[2, 0], [1, 1]])
@@ -336,13 +399,19 @@ def test_locus_search_matches_scan(p2q):
     systems += [ideal_generators(_random_presentation(rng), 3)
                 for _ in range(10)]
     systems.append(_reduce(ideal_generators(p2q, 2), 3))  # acceptance 8
+    # GL_2(F_3) and GL_3(F_2): t * det - 1 alone, which the search skips
+    for p, n in ((3, 2), (2, 3)):
+        ring = GF(p)
+        unit = Polynomial.t_var(ring, n).mul(determinant(generic_matrix(ring, n)))
+        systems.append(IdealSystem(n, ring, 1, False, False, True,
+                                   [unit.sub(Polynomial.constant(ring, n, 1))]))
     # SL_2(F_3): only a generator in t cuts, so the t = 1/det check must run
     systems.append(IdealSystem(2, F3, 1, False, False, True,
                                [parse_poly("1 * t + 2", F3, 2)]))
     assert any(s.n == 1 for s in systems)
     for system in systems:
         assert locus_points(system) == _scan(system)
-    assert len(locus_points(systems[-1])) == 24
+    assert [len(locus_points(s)) for s in systems[-3:]] == [48, 168, 24]
 
 
 def test_locus_budget(p2):

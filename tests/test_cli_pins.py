@@ -2,9 +2,11 @@
 
 Each run goes through ``cli.main`` in-process; the sha256 of its stdout and
 its exit code must equal the literal recorded for it.  The literals were
-recorded before the section search moved onto ``linalg.rref``, so any change
-in the text of ``ideal``, ``compare``, ``enumerate`` or ``oracle`` shows up
-here as a named run.
+recorded before the section search moved onto ``linalg.rref``, those of
+``p3_q.malg`` (structure constants with denominators 2 and 3) before the
+structure-constant recursion over Q moved onto ints, so any change in the
+text of ``ideal``, ``compare``, ``enumerate`` or ``oracle`` shows up here as
+a named run.
 """
 
 import contextlib
@@ -101,6 +103,21 @@ CLI_PINS = {
     ("p2_q.malg", "enumerate --max-length 3"): (0, "35d62fab308845bd88f86697a8d7815a24c1f8ef21e0b849bd446684bc278051"),
     ("p2_q.malg", "oracle"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("p2_q.malg", "compare --max-length 2 --budget 1"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("p3_q.malg", "ideal --max-length 2"): (0, "f88b70b40a5c60c2810e7b95aa8a2c61cbdcfb1099d7ed7a1e563b7443926e99"),
+    ("p3_q.malg", "ideal --max-length 2 --no-inverse"): (0, "92234de4954ac75f13f6c10f176c13bb4131e8da1c927d2f3c4dc4856a28fe2a"),
+    ("p3_q.malg", "ideal --max-length 2 --fixed"): (0, "e9450f6da85e687156048af4137fc09f4312a736600741fc8884f198827bfac8"),
+    ("p3_q.malg", "ideal --max-length 3"): (0, "30b0fa4f91456511c64bb9ec15eae8ea811f3c8edfa5892f67cb7aa7715856e1"),
+    ("p3_q.malg", "ideal --max-length 3 --no-inverse"): (0, "2509a01dbca0e181bb7d4ee17f6718c24591963291391a6bc639e70fc2b7c49f"),
+    ("p3_q.malg", "ideal --max-length 3 --fixed"): (0, "b2215279b73d4507f049390fa0832b11df7f56550d3ff5a0b19fc9000f2e9b6d"),
+    ("p3_q.malg", "compare --max-length 2"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("p3_q.malg", "compare --max-length 2 --no-inverse"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("p3_q.malg", "compare --max-length 2 --fixed"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("p3_q.malg", "compare --max-length 3"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("p3_q.malg", "compare --max-length 3 --no-inverse"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("p3_q.malg", "compare --max-length 3 --fixed"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("p3_q.malg", "enumerate --max-length 3"): (0, "03f7e4b7824eb2120abd491093cffad96e403526c20d3cc9a39b8014f47de7c1"),
+    ("p3_q.malg", "oracle"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("p3_q.malg", "compare --max-length 2 --budget 1"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("p3_f5.malg", "ideal --max-length 2"): (0, "0cee40067af62893e937c736c6f1512218bb2bc2f28fefb7673c3f67669f2f90"),
     ("p3_f5.malg", "ideal --max-length 2 --no-inverse"): (0, "510a63da727861f74ee7a9d5573d33dee17376e23b66a72f1a939b4da83545f8"),
     ("p3_f5.malg", "ideal --max-length 3"): (0, "2ad202443af4b6be0d40486578fd578d9e7f8eb70bdb81ab2a976d9f456c81b0"),

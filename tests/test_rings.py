@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from autalg import linalg
 from autalg.errors import BadPrime, ZeroInverse
 from autalg.rings import GF, QQ, Ring, is_prime, parse_ring, reduce_mod_p
 
@@ -20,6 +21,10 @@ def test_arith_examples():
 def test_invert_examples():
     assert F5.invert(2) == 3
     assert QQ.invert(Fraction(-4, 7)) == Fraction(-7, 4)
+    # an int over Q inverts to a Fraction, not a float
+    assert type(QQ.invert(3)) is Fraction and QQ.invert(3) == Fraction(1, 3)
+    d = linalg.det(QQ, [[9, 0], [1, 81]])
+    assert type(d) is Fraction and d == 729
     with pytest.raises(ZeroInverse):
         F3.invert(0)
 
