@@ -29,6 +29,8 @@ from .presentation import Presentation
 from .rings import Ring
 from .words import DEFAULT_WORD_CAP, Universe, Word, WordTable
 
+DEFAULT_BUDGET = 10**8
+
 
 @dataclass
 class GenericImage:
@@ -315,7 +317,7 @@ def check_point(system: IdealSystem, theta: list[list]) -> bool:
     return all(not g.evaluate(theta, tv) for g in system.generators)
 
 
-def locus_points(system: IdealSystem, budget: int = 10**8) -> list[tuple]:
+def locus_points(system: IdealSystem, budget: int = DEFAULT_BUDGET) -> list[tuple]:
     """All invertible matrices over the prime field at which every generator
     vanishes, in lexicographic (row-major) order.
 

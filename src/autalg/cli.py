@@ -82,9 +82,10 @@ def _run(args) -> int:
 
     if args.max_length < 1:
         raise ValueError("--max-length must be >= 1")
+    # on GL_N the forward block implies the inverse one: only `ideal` prints it
     system = ideal_generators(pres, args.max_length, graded=args.graded,
-                              fixed=args.fixed, inverse=not args.no_inverse,
-                              cap=args.word_cap)
+                              fixed=args.fixed, cap=args.word_cap,
+                              inverse=args.command == "ideal" and not args.no_inverse)
 
     if args.command == "ideal":
         print(system.meta_line())
@@ -102,8 +103,7 @@ def _run(args) -> int:
         return 0 if ok else 1
 
     # compare
-    report = compare_locus(pres, system, graded=args.graded, fixed=args.fixed,
-                           budget=args.budget, workers=args.workers)
+    report = compare_locus(pres, system, budget=args.budget, workers=args.workers)
     if report.equal:
         print(f"equal ({report.locus_size} points)")
         return 0

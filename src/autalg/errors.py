@@ -36,11 +36,9 @@ class MissingDegreeRule(AutalgError):
 class PresentationSyntaxError(AutalgError):
     code = "SyntaxError"
 
-    def __init__(self, line, message, column=None):
+    def __init__(self, line, message):
         self.line = line
-        self.column = column
-        at = f"line {line}" if column is None else f"line {line}, col {column}"
-        super().__init__(f"{at}: {message}")
+        super().__init__(f"line {line}: {message}")
 
 
 class DuplicateBasis(AutalgError):

@@ -49,9 +49,6 @@ class FreeElement:
             return FreeElement(self.ring)
         return FreeElement(self.ring, {w: self.ring.mul(c, x) for w, x in self.terms.items()})
 
-    def neg(self) -> "FreeElement":
-        return FreeElement(self.ring, {w: self.ring.neg(x) for w, x in self.terms.items()})
-
 
 def m_product(a: FreeElement, b: FreeElement, m: int, universe: Universe) -> FreeElement:
     """Bilinear extension of the magma product to free elements."""

@@ -33,7 +33,7 @@ def rref(ring: Ring, rows: list[list]) -> tuple[list[list], list[int]]:
                 m[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
-    return m[:r] + m[r:], pivots
+    return m, pivots
 
 
 def primitive_integer(vec: list) -> list:

@@ -9,14 +9,11 @@ import itertools
 from dataclasses import dataclass
 
 from . import linalg
-from .autscheme import IdealSystem, locus_points
-from .errors import BudgetExceeded
-from .autscheme import theta_tilde_word
+from .autscheme import DEFAULT_BUDGET, IdealSystem, locus_points, theta_tilde_word
+from .errors import BudgetExceeded, GradingViolation
 from .freealg import eta_element, structure_product
 from .presentation import Presentation, parse as parse_presentation
 from .presentation import format_presentation
-
-DEFAULT_BUDGET = 10**8
 
 
 @dataclass
@@ -120,6 +117,8 @@ def enumerate_automorphisms(pres: Presentation, *, graded: bool = False,
     p = pres.ring.p
     if p is None:
         raise ValueError("the oracle enumerates over prime fields only")
+    if graded and pres.degrees is None:
+        raise GradingViolation("graded option requires a graded presentation")
     column_values = _column_values(pres, graded, budget)
     first, rest = column_values[0], column_values[1:]
     if workers > 1:
@@ -238,6 +237,8 @@ def enumerate_automorphisms_via_section(pres: Presentation, *,
     p = ring.p
     if p is None:
         raise ValueError("the oracle enumerates over prime fields only")
+    if graded and pres.degrees is None:
+        raise GradingViolation("graded option requires a graded presentation")
     n = pres.num_gens
     dim = pres.dim
     if p ** (n * n) > budget:
@@ -309,13 +310,13 @@ def _is_automorphism(pres: Presentation, g: tuple, *, graded: bool,
 
 
 def compare_locus(pres: Presentation, system: IdealSystem, *,
-                  graded: bool = False, fixed: bool = False,
                   budget: int = DEFAULT_BUDGET, workers: int = 1) -> ComparisonReport:
     """Scan GL_N for the vanishing locus and match it, as a set, against the
-    restrictions of the exhaustively enumerated automorphisms.  The locus
-    comes first, so a budget below p^(N^2) raises before the oracle runs."""
+    restrictions of the automorphisms the oracle finds with the system's
+    graded and fixed options.  The locus comes first, so a budget below
+    p^(N^2) raises before the oracle runs."""
     locus = locus_points(system, budget=budget)
-    autos = enumerate_automorphisms(pres, graded=graded, fixed=fixed,
+    autos = enumerate_automorphisms(pres, graded=system.graded, fixed=system.fixed,
                                     budget=budget, workers=workers)
     locus_set = set(locus)
     oracle_set = set(autos.restricted)

@@ -111,7 +111,7 @@ def test_acceptance_5_graded_cut(capsys):
         block = {pt for pt in locus_points(plain)
                  if pt[0][1] == 0 and pt[1][0] == 0}
         assert pts == block
-        report = compare_locus(pres, graded, graded=True)
+        report = compare_locus(pres, graded)
         assert report.equal and report.locus_size == 2
 
 

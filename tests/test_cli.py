@@ -1,4 +1,7 @@
-from conftest import DATA
+import itertools
+
+from conftest import CORPUS, DATA, load
+from autalg.autscheme import ideal_generators
 from autalg.cli import main
 
 P0 = str(DATA / "p0_f2.malg")
@@ -85,6 +88,8 @@ def test_input_errors(capsys):
     code, _, err = run(capsys, "check", "--input", P2, "--max-length", "2",
                        "--point", "1,2")
     assert code == 2 and "bad --point" in err
+    code, out, err = run(capsys, "oracle", "--input", P2, "--graded")
+    assert code == 2 and not out and "GradingViolation" in err
 
 
 def test_limit_and_budget_exit_code(capsys):
@@ -107,3 +112,42 @@ def test_byte_determinism(capsys):
     _, one, _ = run(capsys, "oracle", "--input", P2, "--workers", "1")
     _, two, _ = run(capsys, "oracle", "--input", P2, "--workers", "2")
     assert one == two
+
+
+def test_only_ideal_builds_the_inverse_block(capsys, monkeypatch):
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs["inverse"])
+        return ideal_generators(*args, **kwargs)
+
+    monkeypatch.setattr("autalg.cli.ideal_generators", recording)
+    point = ["--point", "2,0;1,1"]
+    for command, extra in (("check", point), ("compare", [])):
+        for flag in ([], ["--no-inverse"]):
+            run(capsys, command, "--input", P2, "--max-length", "2", *extra, *flag)
+    run(capsys, "ideal", "--input", P2, "--max-length", "2")
+    run(capsys, "ideal", "--input", P2, "--max-length", "2", "--no-inverse")
+    assert seen == [False, False, False, False, True, False]
+
+
+def test_exit_code_sweep(capsys):
+    # every subcommand on every corpus file, with every subset of its flags,
+    # ends in a documented exit code instead of an exception
+    flags = {"enumerate": [], "oracle": ["--graded", "--fixed"]}
+    for command in ("ideal", "check", "compare"):
+        flags[command] = ["--graded", "--fixed", "--no-inverse"]
+    for path in CORPUS:
+        n = load(path.name).num_gens
+        identity = ";".join(",".join("1" if i == j else "0" for j in range(n))
+                            for i in range(n))
+        for command, options in flags.items():
+            argv = [command, "--input", str(path)]
+            if command != "oracle":
+                argv += ["--max-length", "2"]
+            if command == "check":
+                argv += ["--point", identity]
+            for k in range(len(options) + 1):
+                for subset in itertools.combinations(options, k):
+                    code, _, _ = run(capsys, *argv, *subset)
+                    assert 0 <= code <= 4, (path.name, command, subset)

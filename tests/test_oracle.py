@@ -4,7 +4,7 @@ import pytest
 
 from conftest import CORPUS, load
 from autalg.autscheme import ideal_generators
-from autalg.errors import BudgetExceeded
+from autalg.errors import BudgetExceeded, GradingViolation
 from autalg.oracle import (compare_locus, enumerate_automorphisms,
                            enumerate_automorphisms_via_section, format_matrix,
                            parse_matrix)
@@ -149,11 +149,26 @@ def test_compare_detects_short_truncation():
 
 def test_compare_fixed_and_graded(pv3, p2graded):
     sv = ideal_generators(pv3, 2, fixed=True)
-    rv = compare_locus(pv3, sv, fixed=True)
+    rv = compare_locus(pv3, sv)
     assert rv.equal and rv.locus_size == 1
     sg = ideal_generators(p2graded, 2, graded=True)
-    rg = compare_locus(p2graded, sg, graded=True)
+    rg = compare_locus(p2graded, sg)
     assert rg.equal and rg.locus_size == 2
+
+
+def test_compare_takes_options_from_system(p2graded):
+    # a graded system against the plain oracle, or the reverse, would report
+    # a false mismatch; the oracle follows the system instead
+    graded = compare_locus(p2graded, ideal_generators(p2graded, 2, graded=True))
+    assert graded.equal and graded.oracle_size == 2
+    plain = compare_locus(p2graded, ideal_generators(p2graded, 2))
+    assert plain.equal and plain.oracle_size == 6
+
+
+def test_oracle_graded_needs_grading(p2):
+    for oracle in (enumerate_automorphisms, enumerate_automorphisms_via_section):
+        with pytest.raises(GradingViolation):
+            oracle(p2, graded=True)
 
 
 def test_matrix_text_roundtrip():
