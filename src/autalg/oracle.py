@@ -6,6 +6,7 @@ and set comparison against the vanishing locus of a computed ideal system.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 
 from . import linalg
@@ -55,54 +56,13 @@ def parse_matrix(text: str, n: int, ring) -> list[list]:
     return out
 
 
-def _multiplicativity_checks(pres: Presentation):
-    """Per-depth multiplicativity constraints for the column DFS.
-
-    A triple (i, j, m) is checkable once every column it mentions (i, j and
-    the support of the product vector) has been chosen.
-    """
-    dim = pres.dim
-    by_depth = [[] for _ in range(dim)]
-    for m in pres.labels:
-        for i in range(dim):
-            for j in range(dim):
-                vec = pres.mul.get((m, i, j))
-                support = [k for k, c in enumerate(vec) if c] if vec else []
-                ready = max([i, j] + support)
-                by_depth[ready].append((i, j, m, vec))
-    return by_depth
-
-
-def _column_values(pres: Presentation, graded: bool, budget: int):
-    """Admissible value tuples per column: support inside the generator set
-    for generator columns, and inside the degree block when graded.
-
-    The search visits every first column, with one worker or many, so more
-    first columns than budget raise BudgetExceeded before any is built.
-    """
-    p = pres.ring.p
-    dim = pres.dim
+def _column_support(pres: Presentation, graded: bool, j: int) -> set[int]:
+    """The basis indices column j may use: generators only for a generator
+    column, and only its own degree when graded."""
     gen_set = set(pres.gens)
-    supports = []
-    for j in range(dim):
-        allowed = list(range(dim))
-        if j in gen_set:
-            allowed = [k for k in allowed if k in gen_set]
-        if graded:
-            allowed = [k for k in allowed if pres.degrees[k] == pres.degrees[j]]
-        supports.append(allowed)
-    if p ** len(supports[0]) > budget:
-        raise BudgetExceeded(f"more than {budget} candidate columns")
-    values = []
-    for allowed in supports:
-        cols = []
-        for picks in itertools.product(range(p), repeat=len(allowed)):
-            v = [0] * dim
-            for k, x in zip(allowed, picks):
-                v[k] = x
-            cols.append(tuple(v))
-        values.append(cols)
-    return values
+    return {k for k in range(pres.dim)
+            if (j not in gen_set or k in gen_set)
+            and (not graded or pres.degrees[k] == pres.degrees[j])}
 
 
 def enumerate_automorphisms(pres: Presentation, *, graded: bool = False,
@@ -113,51 +73,66 @@ def enumerate_automorphisms(pres: Presentation, *, graded: bool = False,
     Partial matrices are cut as soon as a multiplicativity constraint on the
     already-chosen columns fails, a chosen column is linearly dependent on
     the earlier ones, or a fully-determined fixed vector moves.
+
+    Candidate columns are built one at a time during the search, never up
+    front.  The budget bounds the candidate columns visited over the whole
+    search: more first columns than budget raise BudgetExceeded before the
+    search starts, and otherwise each process stops after budget visits and
+    the visits of all of them are summed against it.  The first columns are
+    dealt round-robin to min(workers, first columns, CPU count) processes;
+    with one, the search runs in this process.  The sorted result never
+    depends on workers.
     """
     p = pres.ring.p
     if p is None:
         raise ValueError("the oracle enumerates over prime fields only")
     if graded and pres.degrees is None:
         raise GradingViolation("graded option requires a graded presentation")
-    column_values = _column_values(pres, graded, budget)
-    first, rest = column_values[0], column_values[1:]
-    if workers > 1:
-        chunks = [[first[k::workers]] + rest for k in range(workers)]
-        autos, visited = _run_chunks(pres, fixed, budget, chunks, workers)
-    else:
-        autos, visited = _enumerate_range(pres, fixed, budget, column_values)
-    if visited > budget:
+    first_columns = p ** len(_column_support(pres, graded, 0))
+    if first_columns > budget:
         raise BudgetExceeded(f"more than {budget} candidate columns")
-    autos.sort()
+    parts = min(workers, first_columns, os.cpu_count() or 1)
+    if parts > 1:
+        import concurrent.futures
+
+        text = format_presentation(pres)
+        args = [(text, graded, fixed, budget, part, parts) for part in range(parts)]
+        with concurrent.futures.ProcessPoolExecutor(max_workers=parts) as pool:
+            results = list(pool.map(_search_part, args))
+    else:
+        results = [_search(pres, graded, fixed, budget, 0, 1)]
+    if sum(visited for _, visited in results) > budget:
+        raise BudgetExceeded(f"more than {budget} candidate columns")
+    autos = sorted(g for found, _ in results for g in found)
     restricted = [_restrict(pres, g) for g in autos]
     return AutoSet(p, autos, restricted)
 
 
-def _run_chunks(pres, fixed, budget, chunks, workers):
-    """Enumerate the first-column chunks in worker processes; the found
-    automorphisms and the visited counts of all chunks, summed."""
-    import concurrent.futures
-
-    text = format_presentation(pres)
-    args = [(text, fixed, budget, chunk) for chunk in chunks]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_enumerate_chunk, args))
-    return [g for found, _ in parts for g in found], sum(n for _, n in parts)
+def _search_part(args) -> tuple[list[tuple], int]:
+    text, *rest = args
+    return _search(parse_presentation(text), *rest)
 
 
-def _enumerate_chunk(arg):
-    text, fixed, budget, chunk = arg
-    return _enumerate_range(parse_presentation(text), fixed, budget, chunk)
-
-
-def _enumerate_range(pres: Presentation, fixed: bool, budget: int,
-                     column_values: list[list[tuple]]) -> tuple[list[tuple], int]:
-    """DFS over the candidate columns; the automorphisms found and the
-    number of candidate columns visited, stopping once that passes budget."""
-    ring = pres.ring
-    p = ring.p
+def _search(pres: Presentation, graded: bool, fixed: bool, budget: int,
+            part: int, parts: int) -> tuple[list[tuple], int]:
+    """DFS over the candidate columns, taking every parts-th first column
+    from the part-th on; the automorphisms found and the number of candidate
+    columns visited, stopping once that passes budget."""
+    p = pres.ring.p
     dim = pres.dim
-    checks = _multiplicativity_checks(pres)
+    # per column, the values each entry may take; their product, in
+    # lexicographic order, is the column's candidates
+    ranges = [[range(p) if k in support else (0,) for k in range(dim)]
+              for support in (_column_support(pres, graded, j) for j in range(dim))]
+    # a triple (i, j, m) is checkable once every column it mentions (i, j
+    # and the support of the product vector) has been chosen
+    checks = [[] for _ in range(dim)]
+    for m in pres.labels:
+        for i in range(dim):
+            for j in range(dim):
+                vec = pres.mul.get((m, i, j))
+                support = [k for k, c in enumerate(vec) if c] if vec else []
+                checks[max([i, j] + support)].append((i, j, m, vec))
     fix_by_depth = [[] for _ in range(dim)]
     if fixed:
         for v in pres.fixed:
@@ -167,7 +142,7 @@ def _enumerate_range(pres: Presentation, fixed: bool, budget: int,
     found: list[tuple] = []
     visited = 0
     cols: list[tuple] = []
-    reduced: list[list] = []
+    reduced: list[tuple[int, list]] = []   # (pivot column, row scaled to 1 there)
 
     def passes(depth: int) -> bool:
         for i, j, m, vec in checks[depth]:
@@ -189,20 +164,23 @@ def _enumerate_range(pres: Presentation, fixed: bool, budget: int,
 
     def independent(col: tuple) -> bool:
         resid = list(col)
-        for row in reduced:
-            c = next(i for i, x in enumerate(row) if x)
-            if resid[c]:
-                f = resid[c]
+        for c, row in reduced:
+            f = resid[c]
+            if f:
                 resid = [(x - f * y) % p for x, y in zip(resid, row)]
-        if not any(resid):
+        pivot = next((c for c, x in enumerate(resid) if x), None)
+        if pivot is None:
             return False
-        inv = pow(next(x for x in resid if x), p - 2, p)
-        reduced.append([x * inv % p for x in resid])
+        inv = pow(resid[pivot], p - 2, p)
+        reduced.append((pivot, [x * inv % p for x in resid]))
         return True
 
     def descend(depth: int) -> None:
         nonlocal visited
-        for col in column_values[depth]:
+        values = itertools.product(*ranges[depth])
+        if depth == 0:
+            values = itertools.islice(values, part, None, parts)
+        for col in values:
             visited += 1
             if visited > budget:
                 raise BudgetExceeded(f"more than {budget} candidate columns")
@@ -216,7 +194,6 @@ def _enumerate_range(pres: Presentation, fixed: bool, budget: int,
                     descend(depth + 1)
             cols.pop()
             reduced.pop()
-        return
 
     descend(0)
     return found, visited

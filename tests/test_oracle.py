@@ -75,10 +75,48 @@ def test_oracle_two_paths_agree():
         assert direct.restricted == via.restricted
 
 
-def test_oracle_workers_agree(p2):
-    one = enumerate_automorphisms(p2, workers=1)
-    two = enumerate_automorphisms(p2, workers=2)
-    assert one.autos == two.autos
+def test_oracle_workers_agree():
+    # each worker builds its own supports and checks from the presentation text
+    for path in CORPUS:
+        pres = load(path.name)
+        if pres.ring.p is None:
+            continue
+        for graded in (False, True) if pres.degrees is not None else (False,):
+            for fixed in (False, True) if pres.fixed else (False,):
+                one = enumerate_automorphisms(pres, graded=graded, fixed=fixed,
+                                              workers=1)
+                two = enumerate_automorphisms(pres, graded=graded, fixed=fixed,
+                                              workers=2)
+                assert one.autos == two.autos, (path.name, graded, fixed)
+                assert one.restricted == two.restricted
+
+
+@pytest.mark.parametrize("cpus, started", [(64, [9]), (4, [4]), (1, []), (None, [])])
+def test_oracle_worker_count_capped(monkeypatch, cpus, started):
+    # p2_f3 has 9 first columns; a stub pool records its size and runs in-process
+    sizes = []
+
+    class StubPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    pres = load("p2_f3.malg")
+    expected = enumerate_automorphisms(pres)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", StubPool)
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    many = enumerate_automorphisms(pres, workers=10**6)
+    assert sizes == started
+    assert many.autos == expected.autos
+    assert many.restricted == expected.restricted
 
 
 def test_oracle_budget():
@@ -100,6 +138,25 @@ def test_oracle_budget_before_columns():
         for workers in (1, 2):
             with pytest.raises(BudgetExceeded):
                 enumerate_automorphisms(pres, budget=1, workers=workers)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_oracle_budget_after_first_columns():
+    # 7 first columns (generator e0 only) fit a budget of 100, but the other
+    # five columns have 7^6 candidates each: the search stops without them
+    names = [f"e{k}" for k in range(6)]
+    pres = parse("ring Fp 7\nproducts 0\n"
+                 + "".join(f"basis {nm}\n" for nm in names)
+                 + "generators e0\n")
+    import concurrent.futures.process  # the pool's one-time import is not the oracle's
+    tracemalloc.start()
+    try:
+        for workers in (1, 2):
+            with pytest.raises(BudgetExceeded):
+                enumerate_automorphisms(pres, budget=100, workers=workers)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
