@@ -325,9 +325,12 @@ def locus_points(system: IdealSystem, budget: int = DEFAULT_BUDGET) -> list[tupl
     so the points come out in the order of ``itertools.product``.  A t-free
     generator is checked as soon as the last entry it mentions is set, a
     generator in t on each full invertible matrix with t = 1/det, and a
-    branch is cut when a completed row depends on the rows above it (the
-    last row by the determinant).  t * det - 1 vanishes at every such
-    matrix, so it is never evaluated.
+    branch is cut when a completed row depends on the rows above it.  Each
+    completed row is kept reduced against the rows above it, with its
+    pivot, so no determinant is taken: a full matrix is invertible when its
+    last row is independent, and det is the sign of the pivot permutation
+    times the product of the pivots, needed only for generators in t.
+    t * det - 1 vanishes at every such matrix, so it is never evaluated.
     """
     ring, n = system.ring, system.n
     p = ring.p
@@ -349,6 +352,32 @@ def locus_points(system: IdealSystem, budget: int = DEFAULT_BUDGET) -> list[tupl
                         default=0)].append(g)
     theta = [[ring.zero] * n for _ in range(n)]
     points: list[tuple] = []
+    # the completed rows, each reduced against those above it:
+    # (pivot column, pivot, row scaled to 1 there)
+    reduced: list[tuple[int, int, list]] = []
+
+    def independent(row: list) -> bool:
+        resid = list(row)
+        for c, _, above in reduced:
+            f = resid[c]
+            if f:
+                resid = [(x - f * y) % p for x, y in zip(resid, above)]
+        c = next((c for c, x in enumerate(resid) if x), None)
+        if c is None:
+            return False
+        inv = pow(resid[c], p - 2, p)
+        reduced.append((c, resid[c], [x * inv % p for x in resid]))
+        return True
+
+    def determinant() -> int:
+        # row operations keep det; the reduced rows are triangular up to the
+        # permutation taking row r to its pivot column
+        order = [c for c, _, _ in reduced]
+        swaps = sum(a > b for r, a in enumerate(order) for b in order[r + 1:])
+        d = -1 if swaps % 2 else 1
+        for _, pivot, _ in reduced:
+            d = d * pivot % p
+        return d
 
     def descend(k: int) -> None:
         i, j = divmod(k, n)
@@ -356,13 +385,18 @@ def locus_points(system: IdealSystem, budget: int = DEFAULT_BUDGET) -> list[tupl
             theta[i][j] = v
             if any(g.evaluate(theta) for g in buckets[k]):
                 continue
-            if k < last:
-                if j < n - 1 or len(linalg.rref(ring, theta[:i + 1])[1]) > i:
-                    descend(k + 1)
+            if j < n - 1:
+                descend(k + 1)
                 continue
-            d = linalg.det(ring, theta)
-            if d and not any(g.evaluate(theta, ring.invert(d)) for g in with_t):
-                points.append(tuple(map(tuple, theta)))
+            if not independent(theta[i]):
+                continue
+            if k < last:
+                descend(k + 1)
+            else:
+                tv = ring.invert(determinant()) if with_t else None
+                if not any(g.evaluate(theta, tv) for g in with_t):
+                    points.append(tuple(map(tuple, theta)))
+            reduced.pop()
 
     descend(0)
     return points

@@ -72,13 +72,21 @@ def enumerate_automorphisms(pres: Presentation, *, graded: bool = False,
 
     Partial matrices are cut as soon as a multiplicativity constraint on the
     already-chosen columns fails, a chosen column is linearly dependent on
-    the earlier ones, or a fully-determined fixed vector moves.
+    the earlier ones, or a fully-determined fixed vector moves.  A product
+    known to be zero is checked only where the supports of its two columns
+    meet a product of its label; elsewhere the check could never fail.
 
     Candidate columns are built one at a time during the search, never up
-    front.  The budget bounds the candidate columns visited over the whole
-    search: more first columns than budget raise BudgetExceeded before the
-    search starts, and otherwise each process stops after budget visits and
-    the visits of all of them are summed against it.  The first columns are
+    front.  A column d is forced when a product e_i e_j = v with i, j < d
+    ends at d (v_d != 0, v_r = 0 for r > d): the search tries only
+    col_d = v_d^-1 (col_i col_j - sum_{r<d} v_r col_r), and cuts the branch
+    if that vector leaves the column's support; the independence and
+    product checks still run on it.  The budget bounds the candidate
+    columns visited over the whole search, a forced column counting as all
+    the candidates of its depth, as if each were tried: more first columns
+    than budget raise BudgetExceeded before the search starts, and
+    otherwise each process stops after budget visits and the visits of all
+    of them are summed against it.  The first columns are
     dealt round-robin to min(workers, first columns, CPU count) processes;
     with one, the search runs in this process.  The sorted result never
     depends on workers.
@@ -120,19 +128,31 @@ def _search(pres: Presentation, graded: bool, fixed: bool, budget: int,
     columns visited, stopping once that passes budget."""
     p = pres.ring.p
     dim = pres.dim
+    supports = [_column_support(pres, graded, j) for j in range(dim)]
     # per column, the values each entry may take; their product, in
     # lexicographic order, is the column's candidates
     ranges = [[range(p) if k in support else (0,) for k in range(dim)]
-              for support in (_column_support(pres, graded, j) for j in range(dim))]
+              for support in supports]
     # a triple (i, j, m) is checkable once every column it mentions (i, j
-    # and the support of the product vector) has been chosen
+    # and the support of the product vector) has been chosen; an absent
+    # product is checked only if the supports of columns i and j meet a
+    # product of label m, since otherwise their product is zero
     checks = [[] for _ in range(dim)]
+    # per depth, a check whose product vector ends there and whose columns
+    # i, j come before it: it fixes that depth's column
+    forcing: list[tuple | None] = [None] * dim
     for m in pres.labels:
         for i in range(dim):
             for j in range(dim):
                 vec = pres.mul.get((m, i, j))
+                if vec is None and not any((m, r, s) in pres.mul for r in supports[i]
+                                           for s in supports[j]):
+                    continue
                 support = [k for k, c in enumerate(vec) if c] if vec else []
-                checks[max([i, j] + support)].append((i, j, m, vec))
+                depth = max([i, j] + support)
+                checks[depth].append((i, j, m, vec))
+                if max(i, j) < depth and forcing[depth] is None:
+                    forcing[depth] = (i, j, m, vec)
     fix_by_depth = [[] for _ in range(dim)]
     if fixed:
         for v in pres.fixed:
@@ -175,16 +195,36 @@ def _search(pres: Presentation, graded: bool, fixed: bool, budget: int,
         reduced.append((pivot, [x * inv % p for x in resid]))
         return True
 
+    def forced(depth: int) -> tuple | None:
+        """The one candidate the forcing check leaves at this depth,
+        col_d = v_d^-1 (m-product of cols i, j - sum_{r<d} v_r col_r),
+        or None if that vector leaves the column's support."""
+        i, j, m, vec = forcing[depth]
+        rhs = structure_product(pres, cols[i], cols[j], m)
+        inv = pow(vec[depth], p - 2, p)
+        col = tuple((rhs[k] - sum(vec[r] * cols[r][k] for r in range(depth) if vec[r]))
+                    * inv % p for k in range(dim))
+        if any(x for k, x in enumerate(col) if k not in supports[depth]):
+            return None
+        return col
+
     def descend(depth: int) -> None:
         nonlocal visited
-        values = itertools.product(*ranges[depth])
-        if depth == 0:
-            values = itertools.islice(values, part, None, parts)
+        if forcing[depth] is None:
+            values = itertools.product(*ranges[depth])
+            if depth == 0:
+                values = itertools.islice(values, part, None, parts)
+            step = 1
+        else:
+            # one candidate, counted as the whole product an exhaustive
+            # search visits here, so the budget bounds the same count
+            values = [forced(depth)]
+            step = p ** len(supports[depth])
         for col in values:
-            visited += 1
+            visited += step
             if visited > budget:
                 raise BudgetExceeded(f"more than {budget} candidate columns")
-            if not independent(col):
+            if col is None or not independent(col):
                 continue
             cols.append(col)
             if passes(depth):

@@ -405,13 +405,15 @@ def test_locus_search_matches_scan(p2q):
         unit = Polynomial.t_var(ring, n).mul(determinant(generic_matrix(ring, n)))
         systems.append(IdealSystem(n, ring, 1, False, False, True,
                                    [unit.sub(Polynomial.constant(ring, n, 1))]))
-    # SL_2(F_3): only a generator in t cuts, so the t = 1/det check must run
-    systems.append(IdealSystem(2, F3, 1, False, False, True,
-                               [parse_poly("1 * t + 2", F3, 2)]))
+    # SL_2(F_3) and SL_3(F_3): only a generator in t cuts, so the t = 1/det
+    # check must run, on the sign and every pivot of the determinant
+    for n in (2, 3):
+        systems.append(IdealSystem(n, F3, 1, False, False, True,
+                                   [parse_poly("1 * t + 2", F3, n)]))
     assert any(s.n == 1 for s in systems)
     for system in systems:
         assert locus_points(system) == _scan(system)
-    assert [len(locus_points(s)) for s in systems[-3:]] == [48, 168, 24]
+    assert [len(locus_points(s)) for s in systems[-4:]] == [48, 168, 24, 5616]
 
 
 def test_locus_budget(p2):

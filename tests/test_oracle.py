@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import pytest
@@ -64,15 +65,40 @@ def test_oracle_forms_a_group(p2):
         assert tuple(tuple(r) for r in inv) in mats
 
 
+def _modes(pres):
+    """Every allowed (graded, fixed) pair."""
+    return [(graded, fixed)
+            for graded in ((False, True) if pres.degrees is not None else (False,))
+            for fixed in ((False, True) if pres.fixed else (False,))]
+
+
 def test_oracle_two_paths_agree():
-    for path in CORPUS:
-        pres = load(path.name)
+    from test_acceptance import _random_presentation
+    cases = [(path.name, load(path.name)) for path in CORPUS]
+    rng = random.Random(20260823)  # the acceptance-6 family, first ten
+    cases += [(f"family {k}", _random_presentation(rng)) for k in range(10)]
+    for name, pres in cases:
         if pres.ring.p is None:
             continue
-        direct = enumerate_automorphisms(pres)
-        via = enumerate_automorphisms_via_section(pres)
-        assert direct.autos == via.autos
-        assert direct.restricted == via.restricted
+        for graded, fixed in _modes(pres):
+            direct = enumerate_automorphisms(pres, graded=graded, fixed=fixed)
+            via = enumerate_automorphisms_via_section(pres, graded=graded, fixed=fixed)
+            assert direct.autos == via.autos, (name, graded, fixed)
+            assert direct.restricted == via.restricted
+
+
+def test_oracle_forced_column_outside_support():
+    # x.x = y + z fixes the image of the generator z from those of x and y,
+    # and it may not leave the generators: g(z) = a^2 (y + z) - g(y)
+    pres = parse("ring Fp 3\nproducts 0\nbasis x\nbasis y\nbasis z\n"
+                 "generators x z\nmul 0 x x = 1*y + 1*z\n")
+    direct = enumerate_automorphisms(pres)
+    via = enumerate_automorphisms_via_section(pres)
+    assert direct.autos == via.autos
+    assert direct.restricted == via.restricted
+    # g(x) = a x + c z, g(y) = a^2 y + b z with b != a^2
+    assert len(direct.autos) == 12
+    assert all(g[1][2] == 0 for g in direct.autos)   # no y in g(z)
 
 
 def test_oracle_workers_agree():
@@ -81,14 +107,13 @@ def test_oracle_workers_agree():
         pres = load(path.name)
         if pres.ring.p is None:
             continue
-        for graded in (False, True) if pres.degrees is not None else (False,):
-            for fixed in (False, True) if pres.fixed else (False,):
-                one = enumerate_automorphisms(pres, graded=graded, fixed=fixed,
-                                              workers=1)
-                two = enumerate_automorphisms(pres, graded=graded, fixed=fixed,
-                                              workers=2)
-                assert one.autos == two.autos, (path.name, graded, fixed)
-                assert one.restricted == two.restricted
+        for graded, fixed in _modes(pres):
+            one = enumerate_automorphisms(pres, graded=graded, fixed=fixed,
+                                          workers=1)
+            two = enumerate_automorphisms(pres, graded=graded, fixed=fixed,
+                                          workers=2)
+            assert one.autos == two.autos, (path.name, graded, fixed)
+            assert one.restricted == two.restricted
 
 
 @pytest.mark.parametrize("cpus, started", [(64, [9]), (4, [4]), (1, []), (None, [])])
@@ -125,6 +150,28 @@ def test_oracle_budget():
         enumerate_automorphisms(pres, budget=3)
     with pytest.raises(BudgetExceeded):
         enumerate_automorphisms_via_section(pres, budget=3)
+
+
+def _big_group(*products):
+    """A three-dimensional F_5 presentation of the benchmark's big-group
+    workload, every basis element a generator."""
+    return parse("ring Fp 5\nproducts 0\nbasis e1\nbasis e2\nbasis e3\n"
+                 "generators e1 e2 e3\n" + "".join(f"mul 0 {p}\n" for p in products))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("pres, budget", [
+    (load("p2_f3.malg"), 81),
+    (_big_group("e1 e1 = 1*e3"), 375_625),                  # square
+    (_big_group("e1 e1 = 1*e2", "e1 e2 = 1*e3"), 28_125),   # chain
+    (_big_group("e1 e2 = 1*e3"), 175_625),                  # product
+], ids=["p2_f3", "square", "chain", "product"])
+def test_oracle_budget_threshold(pres, budget, workers):
+    # the smallest budget that passes, the visits of the exhaustive column
+    # search: a forced column counts as its whole product
+    enumerate_automorphisms(pres, budget=budget, workers=workers)
+    with pytest.raises(BudgetExceeded):
+        enumerate_automorphisms(pres, budget=budget - 1, workers=workers)
 
 
 def test_oracle_budget_before_columns():
