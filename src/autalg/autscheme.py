@@ -16,6 +16,7 @@ points of the locus by a depth-first search over the matrix entries, and
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -174,11 +175,10 @@ def _word_images(pres: Presentation, leaves: list[list[Polynomial]]):
     coordinates.  Only ``_coordinates`` reads them.
     """
     ring, n = pres.ring, pres.num_gens
-    scale = math.lcm(*(s.denominator for vec in pres.mul.values() for s in vec))
-    consts: dict[int, list] = {m: [] for m in pres.labels}
-    for (m, i, j), vec in pres.mul.items():
-        consts[m].append((i, j, [(k, int(s * scale))
-                                 for k, s in enumerate(vec) if s]))
+    scale = math.lcm(*(s.denominator for table in pres._products.values()
+                       for _, _, vec in table for _, s in vec))
+    consts = {m: [(i, j, [(k, int(s * scale)) for k, s in vec]) for i, j, vec in table]
+              for m, table in pres._products.items()}
     memo: dict = {}
 
     def psi(w: Word) -> list[Polynomial]:
@@ -323,14 +323,13 @@ def locus_points(system: IdealSystem, budget: int = DEFAULT_BUDGET) -> list[tupl
 
     A depth-first search sets the entries row by row, trying 0..p-1 at each,
     so the points come out in the order of ``itertools.product``.  A t-free
-    generator is checked as soon as the last entry it mentions is set, a
-    generator in t on each full invertible matrix with t = 1/det, and a
-    branch is cut when a completed row depends on the rows above it.  Each
-    completed row is kept reduced against the rows above it, with its
-    pivot, so no determinant is taken: a full matrix is invertible when its
-    last row is independent, and det is the sign of the pivot permutation
-    times the product of the pivots, needed only for generators in t.
-    t * det - 1 vanishes at every such matrix, so it is never evaluated.
+    generator is checked as soon as the last entry it mentions is set; from
+    the last entry of a row that some generator waits for, the rest of the
+    row runs through ``itertools.product`` at once.  A completed row is cut
+    when it lies in the span of the rows above it (``linalg.Span``), so
+    every full matrix reached is invertible.  A generator in t is checked
+    there with t = 1/det, the only place a determinant is taken; t * det - 1
+    vanishes at every such matrix, so it is never evaluated.
     """
     ring, n = system.ring, system.n
     p = ring.p
@@ -338,7 +337,6 @@ def locus_points(system: IdealSystem, budget: int = DEFAULT_BUDGET) -> list[tupl
         raise ValueError("locus enumeration requires a prime field")
     if p ** (n * n) > budget:
         raise BudgetExceeded(f"{p}^{n * n} points exceeds budget {budget}")
-    last = n * n - 1
     unit = _unit_determinant(ring, n)
     buckets: list[list[Polynomial]] = [[] for _ in range(n * n)]
     with_t: list[Polynomial] = []
@@ -350,53 +348,39 @@ def locus_points(system: IdealSystem, budget: int = DEFAULT_BUDGET) -> list[tupl
             buckets[max((idx for mono in g.terms
                          for idx, e in enumerate(mono[:-1]) if e),
                         default=0)].append(g)
+    # per row, the last column with a generator to check, or -1
+    last_checked = [max((j for j in range(n) if buckets[i * n + j]), default=-1)
+                    for i in range(n)]
     theta = [[ring.zero] * n for _ in range(n)]
     points: list[tuple] = []
-    # the completed rows, each reduced against those above it:
-    # (pivot column, pivot, row scaled to 1 there)
-    reduced: list[tuple[int, int, list]] = []
+    # each row is tested against the span of the rows above it
+    span = linalg.Span(p, n, [p ** n] * n)
 
-    def independent(row: list) -> bool:
-        resid = list(row)
-        for c, _, above in reduced:
-            f = resid[c]
-            if f:
-                resid = [(x - f * y) % p for x, y in zip(resid, above)]
-        c = next((c for c, x in enumerate(resid) if x), None)
-        if c is None:
-            return False
-        inv = pow(resid[c], p - 2, p)
-        reduced.append((c, resid[c], [x * inv % p for x in resid]))
-        return True
-
-    def determinant() -> int:
-        # row operations keep det; the reduced rows are triangular up to the
-        # permutation taking row r to its pivot column
-        order = [c for c, _, _ in reduced]
-        swaps = sum(a > b for r, a in enumerate(order) for b in order[r + 1:])
-        d = -1 if swaps % 2 else 1
-        for _, pivot, _ in reduced:
-            d = d * pivot % p
-        return d
-
-    def descend(k: int) -> None:
-        i, j = divmod(k, n)
+    def fill(i: int, j: int) -> None:
+        row = theta[i]
+        if j > last_checked[i]:
+            for suffix in itertools.product(range(p), repeat=n - j):
+                row[j:] = suffix
+                close(i)
+            return
+        bucket = buckets[i * n + j]
         for v in range(p):
-            theta[i][j] = v
-            if any(g.evaluate(theta) for g in buckets[k]):
-                continue
-            if j < n - 1:
-                descend(k + 1)
-                continue
-            if not independent(theta[i]):
-                continue
-            if k < last:
-                descend(k + 1)
-            else:
-                tv = ring.invert(determinant()) if with_t else None
-                if not any(g.evaluate(theta, tv) for g in with_t):
-                    points.append(tuple(map(tuple, theta)))
-            reduced.pop()
+            row[j] = v
+            if not any(g.evaluate(theta) for g in bucket):
+                fill(i, j + 1)
 
-    descend(0)
+    def close(i: int) -> None:
+        row = tuple(theta[i])
+        if row in span:
+            return
+        if i + 1 < n:
+            span.push(row)
+            fill(i + 1, 0)
+            span.pop()
+            return
+        tv = ring.invert(linalg.det(ring, theta)) if with_t else None
+        if not any(g.evaluate(theta, tv) for g in with_t):
+            points.append(tuple(map(tuple, theta)))
+
+    fill(0, 0)
     return points

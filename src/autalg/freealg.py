@@ -61,23 +61,21 @@ def m_product(a: FreeElement, b: FreeElement, m: int, universe: Universe) -> Fre
 
 
 def structure_product(pres, u: tuple, v: tuple, m: int) -> tuple:
-    """m-product of two coordinate vectors of the presented algebra."""
+    """m-product of two coordinate vectors of the presented algebra: for
+    each nonzero structure constant e_i <m> e_j = sum_k s_k e_k of the
+    label, u_i v_j s_k lands on coordinate k."""
     ring = pres.ring
-    out = [ring.zero] * pres.dim
-    mul = pres.mul
-    for i, ci in enumerate(u):
+    out = [ring.zero] * len(u)
+    for i, j, vec in pres._products[m]:
+        ci = u[i]
         if not ci:
             continue
-        for j, cj in enumerate(v):
-            if not cj:
-                continue
-            vec = mul.get((m, i, j))
-            if vec is None:
-                continue
-            f = ring.mul(ci, cj)
-            for k, sk in enumerate(vec):
-                if sk:
-                    out[k] = ring.add(out[k], ring.mul(f, sk))
+        cj = v[j]
+        if not cj:
+            continue
+        f = ring.mul(ci, cj)
+        for k, sk in vec:
+            out[k] = ring.add(out[k], ring.mul(f, sk))
     return tuple(out)
 
 

@@ -77,6 +77,64 @@ def det(ring: Ring, rows: list[list]):
     return d
 
 
+class Span:
+    """The spans of a stack of vectors over F_p, for dependence tests.
+
+    The span of the k vectors pushed so far is held as the set of its p^k
+    vectors (tuples of residues) wherever ``tries[k]``, the number of
+    vectors the caller tests against it, is at least p^k: building it then
+    costs no more than the tests it serves, and each test is one set
+    lookup.  The set is built at the first test.  A span held as no set
+    answers a test for v by testing v - c * top, c in F_p, against the span
+    below, down to the last one held; the empty span {0} is always held.
+    A vector is pushed only when it is not in the span, and ``tries``
+    covers every span a test meets.
+    """
+
+    def __init__(self, p: int, n: int, tries: list[int]):
+        self.p = p
+        self._held = [t >= p ** k for k, t in enumerate(tries)]
+        self._tops: list[tuple] = []
+        self._sets: list[set | None] = [{(0,) * n}]
+
+    def push(self, v: tuple) -> None:
+        self._tops.append(v)
+        self._sets.append(None)
+
+    def pop(self) -> None:
+        self._tops.pop()
+        self._sets.pop()
+
+    def __contains__(self, v: tuple) -> bool:
+        got = self._sets[-1]
+        if got is not None:
+            return v in got
+        return self._member(v, len(self._tops))
+
+    def _member(self, v: tuple, k: int) -> bool:
+        got = self._sets[k]
+        if got is None and self._held[k]:
+            got = self._sets[k] = set(self._elements(k))
+        if got is not None:
+            return v in got
+        p, top = self.p, self._tops[k - 1]
+        return any(self._member(tuple([(x - c * y) % p for x, y in zip(v, top)]), k - 1)
+                   for c in range(p))
+
+    def _elements(self, k: int):
+        """The vectors of the span of the first k pushed vectors."""
+        got = self._sets[k]
+        if got is not None:
+            return got
+        p, top = self.p, self._tops[k - 1]
+        below = self._elements(k - 1)
+        out = list(below)
+        for c in range(1, p):
+            m = [c * y % p for y in top]
+            out += [tuple([(x + y) % p for x, y in zip(u, m)]) for u in below]
+        return out
+
+
 def inverse(ring: Ring, rows: list[list]) -> list[list] | None:
     """Matrix inverse, or None if singular."""
     n = len(rows)

@@ -71,10 +71,14 @@ def enumerate_automorphisms(pres: Presentation, *, graded: bool = False,
     """Exhaustive column-by-column enumeration with pruning.
 
     Partial matrices are cut as soon as a multiplicativity constraint on the
-    already-chosen columns fails, a chosen column is linearly dependent on
-    the earlier ones, or a fully-determined fixed vector moves.  A product
-    known to be zero is checked only where the supports of its two columns
-    meet a product of its label; elsewhere the check could never fail.
+    already-chosen columns fails, a chosen column lies in the span of the
+    earlier ones, or a fully-determined fixed vector moves.  The spans are
+    a ``linalg.Span``: at a depth that tries its whole product of candidates
+    the span is a set and the test one lookup, at a forced depth it recurses
+    into the span below.  A product known to be zero is checked only where
+    the supports of its two columns meet a product of its label; elsewhere
+    the check could never fail.  Product checks walk the sparse structure
+    constants, and keep their product vectors sparse.
 
     Candidate columns are built one at a time during the search, never up
     front.  A column d is forced when a product e_i e_j = v with i, j < d
@@ -136,10 +140,12 @@ def _search(pres: Presentation, graded: bool, fixed: bool, budget: int,
     # a triple (i, j, m) is checkable once every column it mentions (i, j
     # and the support of the product vector) has been chosen; an absent
     # product is checked only if the supports of columns i and j meet a
-    # product of label m, since otherwise their product is zero
+    # product of label m, since otherwise their product is zero.  Product
+    # vectors are kept sparse, as (r, v_r) with v_r != 0.
     checks = [[] for _ in range(dim)]
     # per depth, a check whose product vector ends there and whose columns
-    # i, j come before it: it fixes that depth's column
+    # i, j come before it: it fixes that depth's column, and is kept as
+    # (i, j, m, the sparse vector below the depth, v_depth^-1)
     forcing: list[tuple | None] = [None] * dim
     for m in pres.labels:
         for i in range(dim):
@@ -148,21 +154,28 @@ def _search(pres: Presentation, graded: bool, fixed: bool, budget: int,
                 if vec is None and not any((m, r, s) in pres.mul for r in supports[i]
                                            for s in supports[j]):
                     continue
-                support = [k for k, c in enumerate(vec) if c] if vec else []
-                depth = max([i, j] + support)
-                checks[depth].append((i, j, m, vec))
+                sparse = [(k, c) for k, c in enumerate(vec) if c] if vec else None
+                depth = max([i, j] + [k for k, _ in sparse or ()])
+                checks[depth].append((i, j, m, sparse))
                 if max(i, j) < depth and forcing[depth] is None:
-                    forcing[depth] = (i, j, m, vec)
+                    forcing[depth] = (i, j, m, sparse[:-1], pow(vec[depth], p - 2, p))
     fix_by_depth = [[] for _ in range(dim)]
     if fixed:
         for v in pres.fixed:
-            support = [k for k, c in enumerate(v) if c]
-            fix_by_depth[max(support) if support else 0].append(v)
+            sparse = [(k, c) for k, c in enumerate(v) if c]
+            fix_by_depth[sparse[-1][0] if sparse else 0].append((sparse, v))
 
     found: list[tuple] = []
     visited = 0
     cols: list[tuple] = []
-    reduced: list[tuple[int, list]] = []   # (pivot column, row scaled to 1 there)
+    # a forced depth tests its one candidate against the span of the
+    # columns before it, any other depth its whole product of candidates
+    span = linalg.Span(p, dim, [1 if forcing[d] else p ** len(supports[d])
+                                for d in range(dim)])
+
+    def image(vec: list) -> tuple:
+        """sum_r v_r col_r for a sparse v over the chosen columns."""
+        return tuple([sum(c * cols[r][k] for r, c in vec) % p for k in range(dim)])
 
     def passes(depth: int) -> bool:
         for i, j, m, vec in checks[depth]:
@@ -170,40 +183,17 @@ def _search(pres: Presentation, graded: bool, fixed: bool, budget: int,
             if vec is None:
                 if any(rhs):
                     return False
-                continue
-            for k in range(dim):
-                lhs = sum(vec[r] * cols[r][k] for r in range(dim) if vec[r]) % p
-                if lhs != rhs[k]:
-                    return False
-        for v in fix_by_depth[depth]:
-            for k in range(dim):
-                img = sum(v[r] * cols[r][k] for r in range(dim) if v[r]) % p
-                if img != v[k]:
-                    return False
-        return True
-
-    def independent(col: tuple) -> bool:
-        resid = list(col)
-        for c, row in reduced:
-            f = resid[c]
-            if f:
-                resid = [(x - f * y) % p for x, y in zip(resid, row)]
-        pivot = next((c for c, x in enumerate(resid) if x), None)
-        if pivot is None:
-            return False
-        inv = pow(resid[pivot], p - 2, p)
-        reduced.append((pivot, [x * inv % p for x in resid]))
-        return True
+            elif image(vec) != rhs:
+                return False
+        return all(image(sparse) == v for sparse, v in fix_by_depth[depth])
 
     def forced(depth: int) -> tuple | None:
         """The one candidate the forcing check leaves at this depth,
         col_d = v_d^-1 (m-product of cols i, j - sum_{r<d} v_r col_r),
         or None if that vector leaves the column's support."""
-        i, j, m, vec = forcing[depth]
+        i, j, m, lower, inv = forcing[depth]
         rhs = structure_product(pres, cols[i], cols[j], m)
-        inv = pow(vec[depth], p - 2, p)
-        col = tuple((rhs[k] - sum(vec[r] * cols[r][k] for r in range(depth) if vec[r]))
-                    * inv % p for k in range(dim))
+        col = tuple((x - y) * inv % p for x, y in zip(rhs, image(lower)))
         if any(x for k, x in enumerate(col) if k not in supports[depth]):
             return None
         return col
@@ -224,16 +214,17 @@ def _search(pres: Presentation, graded: bool, fixed: bool, budget: int,
             visited += step
             if visited > budget:
                 raise BudgetExceeded(f"more than {budget} candidate columns")
-            if col is None or not independent(col):
+            if col is None or col in span:
                 continue
             cols.append(col)
             if passes(depth):
                 if depth + 1 == dim:
                     found.append(tuple(zip(*cols)))  # columns -> row tuples
                 else:
+                    span.push(col)
                     descend(depth + 1)
+                    span.pop()
             cols.pop()
-            reduced.pop()
 
     descend(0)
     return found, visited
@@ -241,6 +232,8 @@ def _search(pres: Presentation, graded: bool, fixed: bool, budget: int,
 
 def _restrict(pres: Presentation, g: tuple) -> tuple:
     gens = pres.gens
+    if gens == list(range(pres.dim)):
+        return g
     return tuple(tuple(g[a][b] for b in gens) for a in gens)
 
 

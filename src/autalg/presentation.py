@@ -51,6 +51,11 @@ class Presentation:
         self._closure = None
         self.eta_cache: dict = {}
         self.validate()
+        # per label, the nonzero structure constants as (i, j, [(k, s_k), ...])
+        # in the order of mul; structure_product and the word images walk these
+        self._products: dict[int, list] = {m: [] for m in self.labels}
+        for (m, i, j), vec in self.mul.items():
+            self._products[m].append((i, j, [(k, s) for k, s in enumerate(vec) if s]))
 
     @property
     def dim(self) -> int:

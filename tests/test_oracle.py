@@ -1,10 +1,11 @@
+import itertools
 import random
 import tracemalloc
 
 import pytest
 
 from conftest import CORPUS, load
-from autalg.autscheme import ideal_generators
+from autalg.autscheme import ideal_generators, locus_points
 from autalg.errors import BudgetExceeded, GradingViolation
 from autalg.oracle import (compare_locus, enumerate_automorphisms,
                            enumerate_automorphisms_via_section, format_matrix,
@@ -152,11 +153,44 @@ def test_oracle_budget():
         enumerate_automorphisms_via_section(pres, budget=3)
 
 
-def _big_group(*products):
-    """A three-dimensional F_5 presentation of the benchmark's big-group
-    workload, every basis element a generator."""
-    return parse("ring Fp 5\nproducts 0\nbasis e1\nbasis e2\nbasis e3\n"
-                 "generators e1 e2 e3\n" + "".join(f"mul 0 {p}\n" for p in products))
+def _big_group(*products, p=5):
+    """A three-dimensional presentation of the benchmark's big-group
+    workload, over F_5 unless p says otherwise, every basis element a
+    generator."""
+    return parse(f"ring Fp {p}\nproducts 0\nbasis e1\nbasis e2\nbasis e3\n"
+                 "generators e1 e2 e3\n" + "".join(f"mul 0 {m}\n" for m in products))
+
+
+@pytest.mark.parametrize("p, dim, order", [(3, 3, 11_232), (2, 4, 20_160)])
+def test_searches_find_general_linear_group(p, dim, order):
+    # with zero products every invertible matrix is an automorphism, and the
+    # forward system is empty: both searches must return the lexicographic
+    # scan of GL_dim(F_p)
+    names = [f"e{k}" for k in range(dim)]
+    pres = parse(f"ring Fp {p}\nproducts 0\n"
+                 + "".join(f"basis {nm}\n" for nm in names)
+                 + "generators " + " ".join(names) + "\n")
+    scan = [pt for pt in (tuple(flat[i * dim:(i + 1) * dim] for i in range(dim))
+                          for flat in itertools.product(range(p), repeat=dim * dim))
+            if linalg.det(pres.ring, pt)]
+    assert len(scan) == order
+    system = ideal_generators(pres, 2, inverse=False)
+    assert system.generators == []
+    assert locus_points(system) == scan
+    assert enumerate_automorphisms(pres).autos == scan
+
+
+@pytest.mark.parametrize("products", [
+    ("e1 e1 = 1*e3",),
+    ("e1 e1 = 1*e2", "e1 e2 = 1*e3"),   # two forced columns in a row
+    ("e1 e2 = 1*e3",),
+], ids=["square", "chain", "product"])
+def test_oracle_two_paths_agree_on_big_groups(products):
+    pres = _big_group(*products, p=3)
+    direct = enumerate_automorphisms(pres)
+    via = enumerate_automorphisms_via_section(pres)
+    assert direct.autos == via.autos
+    assert direct.restricted == via.restricted
 
 
 @pytest.mark.parametrize("workers", [1, 2])
