@@ -354,7 +354,7 @@ def locus_points(system: IdealSystem, budget: int = DEFAULT_BUDGET) -> list[tupl
     theta = [[ring.zero] * n for _ in range(n)]
     points: list[tuple] = []
     # each row is tested against the span of the rows above it
-    span = linalg.Span(p, n, [p ** n] * n)
+    span = linalg.Span(p, n)
 
     def fill(i: int, j: int) -> None:
         row = theta[i]

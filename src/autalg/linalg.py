@@ -80,53 +80,62 @@ def det(ring: Ring, rows: list[list]):
 class Span:
     """The spans of a stack of vectors over F_p, for dependence tests.
 
-    The span of the k vectors pushed so far is held as the set of its p^k
-    vectors (tuples of residues) wherever ``tries[k]``, the number of
-    vectors the caller tests against it, is at least p^k: building it then
-    costs no more than the tests it serves, and each test is one set
-    lookup.  The set is built at the first test.  A span held as no set
-    answers a test for v by testing v - c * top, c in F_p, against the span
-    below, down to the last one held; the empty span {0} is always held.
-    A vector is pushed only when it is not in the span, and ``tries``
-    covers every span a test meets.
+    Each pushed vector is kept reduced against the ones below it, scaled to
+    1 at its pivot, so a test of v against the span of k vectors takes up
+    to k reduction steps.  The (p^k // k)-th test since the top was pushed
+    builds the set of the span's p^k vectors (tuples of residues), and that
+    test and every later one is a lookup.  Building the set costs about as
+    much as the reductions made before it, so no sequence of tests costs
+    much more than reducing them all; a span that meets few tests, such as
+    the one a forced column is tested against, is never expanded.  A
+    vector is pushed only when it is not in the span.
     """
 
-    def __init__(self, p: int, n: int, tries: list[int]):
+    def __init__(self, p: int, n: int):
         self.p = p
-        self._held = [t >= p ** k for k, t in enumerate(tries)]
-        self._tops: list[tuple] = []
+        self._reduced: list[tuple[int, list]] = []   # (pivot column, row)
         self._sets: list[set | None] = [{(0,) * n}]
+        self._left = [0]   # per span, tests to go before its set is built
 
     def push(self, v: tuple) -> None:
-        self._tops.append(v)
+        p = self.p
+        resid = self._reduce(v)
+        pivot = next(c for c, x in enumerate(resid) if x)
+        inv = pow(resid[pivot], p - 2, p)
+        self._reduced.append((pivot, [x * inv % p for x in resid]))
         self._sets.append(None)
+        k = len(self._reduced)
+        self._left.append(p ** k // k)
 
     def pop(self) -> None:
-        self._tops.pop()
+        self._reduced.pop()
         self._sets.pop()
+        self._left.pop()
 
     def __contains__(self, v: tuple) -> bool:
         got = self._sets[-1]
-        if got is not None:
-            return v in got
-        return self._member(v, len(self._tops))
+        if got is None:
+            self._left[-1] -= 1
+            if self._left[-1]:
+                return not any(self._reduce(v))
+            got = self._sets[-1] = set(self._elements(len(self._reduced)))
+        return v in got
 
-    def _member(self, v: tuple, k: int) -> bool:
-        got = self._sets[k]
-        if got is None and self._held[k]:
-            got = self._sets[k] = set(self._elements(k))
-        if got is not None:
-            return v in got
-        p, top = self.p, self._tops[k - 1]
-        return any(self._member(tuple([(x - c * y) % p for x, y in zip(v, top)]), k - 1)
-                   for c in range(p))
+    def _reduce(self, v: tuple) -> list:
+        p = self.p
+        resid = list(v)
+        for c, row in self._reduced:
+            f = resid[c]
+            if f:
+                resid = [(x - f * y) % p for x, y in zip(resid, row)]
+        return resid
 
     def _elements(self, k: int):
         """The vectors of the span of the first k pushed vectors."""
         got = self._sets[k]
         if got is not None:
             return got
-        p, top = self.p, self._tops[k - 1]
+        p, top = self.p, self._reduced[k - 1][1]
         below = self._elements(k - 1)
         out = list(below)
         for c in range(1, p):

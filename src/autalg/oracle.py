@@ -73,12 +73,13 @@ def enumerate_automorphisms(pres: Presentation, *, graded: bool = False,
     Partial matrices are cut as soon as a multiplicativity constraint on the
     already-chosen columns fails, a chosen column lies in the span of the
     earlier ones, or a fully-determined fixed vector moves.  The spans are
-    a ``linalg.Span``: at a depth that tries its whole product of candidates
-    the span is a set and the test one lookup, at a forced depth it recurses
-    into the span below.  A product known to be zero is checked only where
-    the supports of its two columns meet a product of its label; elsewhere
-    the check could never fail.  Product checks walk the sparse structure
-    constants, and keep their product vectors sparse.
+    a ``linalg.Span``: a test reduces the column against the chosen ones,
+    and a span that meets many tests, as at a depth that tries its whole
+    product of candidates, turns into a set and each test into one lookup.
+    A product known to be zero is checked only where the supports of its
+    two columns meet a product of its label; elsewhere the check could
+    never fail.  Product checks walk the sparse structure constants, and
+    keep their product vectors sparse.
 
     Candidate columns are built one at a time during the search, never up
     front.  A column d is forced when a product e_i e_j = v with i, j < d
@@ -168,10 +169,7 @@ def _search(pres: Presentation, graded: bool, fixed: bool, budget: int,
     found: list[tuple] = []
     visited = 0
     cols: list[tuple] = []
-    # a forced depth tests its one candidate against the span of the
-    # columns before it, any other depth its whole product of candidates
-    span = linalg.Span(p, dim, [1 if forcing[d] else p ** len(supports[d])
-                                for d in range(dim)])
+    span = linalg.Span(p, dim)   # spanned by the chosen columns
 
     def image(vec: list) -> tuple:
         """sum_r v_r col_r for a sparse v over the chosen columns."""

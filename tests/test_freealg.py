@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+from conftest import CORPUS, load
 from autalg.freealg import (FreeElement, eta_evaluate, eta_matrix, m_product,
                             structure_product)
 from autalg.rings import GF, QQ
@@ -100,3 +101,23 @@ def test_structure_product_bilinearity(p2):
         r1 = structure_product(p2, u, w, 0)
         r2 = structure_product(p2, v, w, 0)
         assert left == tuple(f3.add(a, b) for a, b in zip(r1, r2))
+
+
+def test_structure_product_matches_dense_sum():
+    # structure_product walks the presentation's sparse table; the
+    # reference sums u_i v_j mul[m, i, j] over every pair, read from mul
+    rng = random.Random(2)
+    for path in CORPUS:
+        pres = load(path.name)
+        ring = pres.ring
+        values = range(ring.p) if ring.p else [Fraction(k, 2) for k in range(-3, 4)]
+        for m in pres.labels:
+            for _ in range(10):
+                u = tuple(rng.choice(values) for _ in range(pres.dim))
+                v = tuple(rng.choice(values) for _ in range(pres.dim))
+                dense = [ring.zero] * pres.dim
+                for i in range(pres.dim):
+                    for j in range(pres.dim):
+                        for k, s in enumerate(pres.mul.get((m, i, j), ())):
+                            dense[k] = ring.add(dense[k], ring.mul(ring.mul(u[i], v[j]), s))
+                assert structure_product(pres, u, v, m) == tuple(dense), (path.name, m)

@@ -193,6 +193,28 @@ def test_oracle_two_paths_agree_on_big_groups(products):
     assert direct.restricted == via.restricted
 
 
+def test_oracle_long_forced_chain():
+    # x1 generates x1..x8 by left products x1 x_k = x_{k+1}; graded by
+    # k, so every column after the first is forced and tested once against
+    # the span of the columns before it: a test that grew with p^depth
+    # would take seconds here
+    import time
+
+    dim = 8
+    pres = parse("ring Fp 7\nproducts 0\ngrading table\n"
+                 + "".join(f"basis x{k} {k}\n" for k in range(1, dim + 1))
+                 + "generators x1\n"
+                 + "".join(f"mul 0 x1 x{k} = 1*x{k + 1}\ndtable 1 0 {k} = {k + 1}\n"
+                           for k in range(1, dim)))
+    start = time.perf_counter()
+    direct = enumerate_automorphisms(pres, graded=True)
+    assert time.perf_counter() - start < 2
+    via = enumerate_automorphisms_via_section(pres, graded=True)
+    assert len(direct.autos) == 6
+    assert direct.autos == via.autos
+    assert direct.restricted == via.restricted
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("pres, budget", [
     (load("p2_f3.malg"), 81),
