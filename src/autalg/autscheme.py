@@ -122,17 +122,13 @@ def kernel_basis(pres: Presentation, max_length: int,
     for c in range(len(words)):
         if c in pivot_set:
             continue
-        entries = [(c, ring.one)]
-        entries.extend((pc, ring.neg(red[r][c]))
-                       for r, pc in enumerate(pivots) if red[r][c])
-        entries.sort()
+        # each pivot column with an entry in column c lies left of c
+        hits = [r for r in range(len(pivots)) if red[r][c]]
+        coeffs = [ring.neg(red[r][c]) for r in hits] + [ring.one]
         if ring.p is None:
-            scaled = linalg.primitive_integer([x for _, x in entries])
-            entries = [(i, x) for (i, _), x in zip(entries, scaled)]
-        e = FreeElement(ring)
-        for i, x in entries:
-            e.terms[words[i]] = x
-        vectors.append(e)
+            coeffs = linalg.primitive_integer(coeffs)
+        support = [words[pivots[r]] for r in hits] + [words[c]]
+        vectors.append(FreeElement(ring, dict(zip(support, coeffs))))
     return KernelBasis(vectors, table)
 
 
@@ -162,76 +158,70 @@ def _add_scaled(acc: dict, q: Polynomial, f) -> None:
         q._accum(acc, mono, q.ring.mul(f, c))
 
 
-def _word_images(pres: Presentation, leaves: list[list[Polynomial]]):
-    """psi(w): coordinates in the presented algebra of the image of w under
-    the endomorphism sending generator j to sum_i leaves[i][j] * x_i, and
-    the scale D of those coordinates.
+def _block(pres: Presentation, leaves: list[list[Polynomial]], words: list[Word],
+           elements: list[FreeElement]) -> list[list[Polynomial]]:
+    """Coordinates in the presented algebra of the image of each element
+    under the endomorphism sending generator j to sum_i leaves[i][j] * x_i.
 
-    psi(w1 <m> w2) is the m-product of psi(w1) and psi(w2) through the
-    structure constants; memoized on interned words, so each subword is
-    expanded once.  The coefficients are ints: each structure constant s
-    enters as s * D, with D the lcm of their denominators (1 over F_p), and
-    the leaves must be integral, so psi(w) holds D^(|w|-1) times the true
-    coordinates.  Only ``_coordinates`` reads them.
+    psi(w), the coordinates of the image of a word w, is built for each of
+    ``words`` in turn, which must list every subword before its word and
+    cover the support of every element: a leaf is a column of ``leaves``,
+    and psi(w1 <m> w2) is the m-product of psi(w1) and psi(w2) through the
+    structure constants.  The coordinates of an element are then
+    sum_w alpha_w psi(w).
+
+    The coefficients are ints: each structure constant s enters as s * D,
+    with D the lcm of their denominators (1 over F_p), and the leaves must
+    be integral, so psi(w) holds D^(|w|-1) times the true coordinates.  An
+    element sum_w alpha_w w, with A the lcm of the denominators of alpha and
+    ``top`` its longest word, sums (alpha_w A) D^(top-|w|) psi(w), which is
+    A D^(top-1) times its coordinates; over the rationals each coefficient
+    is then divided once, one ``Fraction`` per numerator.
     """
     ring, n = pres.ring, pres.num_gens
     scale = math.lcm(*(s.denominator for table in pres._products.values()
                        for _, _, vec in table for _, s in vec))
     consts = {m: [(i, j, [(k, int(s * scale)) for k, s in vec]) for i, j, vec in table]
               for m, table in pres._products.items()}
-    memo: dict = {}
-
-    def psi(w: Word) -> list[Polynomial]:
-        if w not in memo:
-            acc: list[dict] = [{} for _ in range(pres.dim)]
-            if w.is_leaf:
-                for i, g in enumerate(pres.gens):
-                    leaf = leaves[i][w.gen - 1].terms
-                    assert all(c.denominator == 1 for c in leaf.values())
-                    acc[g] = {mono: c.numerator for mono, c in leaf.items()}
-            else:
-                left, right = psi(w.left), psi(w.right)
-                for i, j, vec in consts[w.label]:
-                    if left[i] and right[j]:
-                        prod = left[i].mul(right[j])
-                        for k, s in vec:
-                            _add_scaled(acc[k], prod, s)
-            memo[w] = [Polynomial(ring, n, terms) for terms in acc]
-        return memo[w]
-
-    return psi, scale
-
-
-def _coordinates(element: FreeElement, images, pres: Presentation) -> list[Polynomial]:
-    """Coordinates of the image of a free element: sum_w alpha_w psi(w).
-
-    With A the lcm of the denominators of alpha and ``top`` the longest
-    word, the sum runs on ints as sum_w (alpha_w A) D^(top-|w|) psi(w),
-    which is A D^(top-1) times the coordinates; over the rationals each
-    coefficient is then divided once, one ``Fraction`` per numerator.
-    """
-    psi, scale = images
-    ring = pres.ring
-    factors = element.terms.items()
-    if ring.p is None:
-        denom = math.lcm(*(alpha.denominator for alpha in element.terms.values()))
-        top = max((w.length for w in element.terms), default=1)
-        factors = [(w, int(alpha * denom) * scale ** (top - w.length))
-                   for w, alpha in factors]
-    acc: list[dict] = [{} for _ in range(pres.dim)]
-    for w, f in factors:
-        for terms, q in zip(acc, psi(w)):
-            _add_scaled(terms, q, f)
-    if ring.p is None:
-        denom *= scale ** (top - 1)
-        quotients: dict[int, Fraction] = {}
-        for terms in acc:
-            for mono, c in terms.items():
-                q = quotients.get(c)
-                if q is None:
-                    q = quotients[c] = Fraction(c, denom)
-                terms[mono] = q
-    return [Polynomial(ring, pres.num_gens, terms) for terms in acc]
+    psi: dict[Word, list[Polynomial]] = {}
+    for w in words:
+        acc: list[dict] = [{} for _ in range(pres.dim)]
+        if w.is_leaf:
+            for i, g in enumerate(pres.gens):
+                leaf = leaves[i][w.gen - 1].terms
+                assert all(c.denominator == 1 for c in leaf.values())
+                acc[g] = {mono: c.numerator for mono, c in leaf.items()}
+        else:
+            left, right = psi[w.left], psi[w.right]
+            for i, j, vec in consts[w.label]:
+                if left[i] and right[j]:
+                    prod = left[i].mul(right[j])
+                    for k, s in vec:
+                        _add_scaled(acc[k], prod, s)
+        psi[w] = [Polynomial(ring, n, terms) for terms in acc]
+    out = []
+    for element in elements:
+        factors = element.terms.items()
+        if ring.p is None:
+            denom = math.lcm(*(alpha.denominator for alpha in element.terms.values()))
+            top = max((w.length for w in element.terms), default=1)
+            factors = [(w, int(alpha * denom) * scale ** (top - w.length))
+                       for w, alpha in factors]
+        acc = [{} for _ in range(pres.dim)]
+        for w, f in factors:
+            for terms, q in zip(acc, psi[w]):
+                _add_scaled(terms, q, f)
+        if ring.p is None:
+            denom *= scale ** (top - 1)
+            quotients: dict[int, Fraction] = {}
+            for terms in acc:
+                for mono, c in terms.items():
+                    q = quotients.get(c)
+                    if q is None:
+                        q = quotients[c] = Fraction(c, denom)
+                    terms[mono] = q
+        out.append([Polynomial(ring, n, terms) for terms in acc])
+    return out
 
 
 def _unit_determinant(ring: Ring, n: int) -> Polynomial:
@@ -254,22 +244,9 @@ def ideal_generators(pres: Presentation, max_length: int, *,
     """
     ring, n = pres.ring, pres.num_gens
     kb = kernel_basis(pres, max_length, cap)
-    gm = generic_matrix(ring, n)
-    images = _word_images(pres, gm)
-
-    gens: list[Polynomial] = []
-    for vec in kb.vectors:
-        gens.extend(_coordinates(vec, images, pres))
-
-    if graded:
-        if pres.degrees is None:
-            raise GradingViolation("graded option requires a graded presentation")
-        gd = pres.gen_degrees
-        for i in range(n):
-            for j in range(n):
-                if gd[i] != gd[j]:
-                    gens.append(Polynomial.variable(ring, n, i + 1, j + 1))
-
+    if graded and pres.degrees is None:
+        raise GradingViolation("graded option requires a graded presentation")
+    sigmas = []
     if fixed:
         # kernel_basis has already checked that the section fits in max_length
         section = pres.generation_closure(cap)
@@ -278,16 +255,29 @@ def ideal_generators(pres: Presentation, max_length: int, *,
             for i, c in enumerate(v):
                 if c:
                     sigma = sigma.add(section.elements[i].scale(c))
-            coords = _coordinates(sigma, images, pres)
-            for ell, c in enumerate(v):
-                gens.append(coords[ell].sub(Polynomial.constant(ring, n, c)))
+            sigmas.append(sigma)
+    words = kb.table.words
+    gm = generic_matrix(ring, n)
+    forward = _block(pres, gm, words, kb.vectors + sigmas)
+    k = len(kb.vectors)
+    gens = [q for coords in forward[:k] for q in coords]
+
+    if graded:
+        gd = pres.gen_degrees
+        for i in range(n):
+            for j in range(n):
+                if gd[i] != gd[j]:
+                    gens.append(Polynomial.variable(ring, n, i + 1, j + 1))
+
+    for v, coords in zip(pres.fixed if fixed else (), forward[k:]):
+        for ell, c in enumerate(v):
+            gens.append(coords[ell].sub(Polynomial.constant(ring, n, c)))
 
     if inverse:
         t = Polynomial.t_var(ring, n)
-        inv_images = _word_images(pres, [[t.mul(a) for a in row]
-                                         for row in adjugate(gm)])
-        for vec in kb.vectors:
-            gens.extend(_coordinates(vec, inv_images, pres))
+        inv_leaves = [[t.mul(a) for a in row] for row in adjugate(gm)]
+        for coords in _block(pres, inv_leaves, words, kb.vectors):
+            gens.extend(coords)
         gens.append(_unit_determinant(ring, n))
 
     seen = set()

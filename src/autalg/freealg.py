@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .rings import Ring
-from .words import Universe, Word, WordTable
+from .words import DEFAULT_WORD_CAP, Universe, Word, WordTable, enumerate_words
 
 
 @dataclass
@@ -115,16 +115,14 @@ def eta_element(e: FreeElement, pres) -> tuple:
     return tuple(out)
 
 
-def eta_matrix(pres, max_length: int, cap: int | None = None) -> tuple[list[list], WordTable]:
+def eta_matrix(pres, max_length: int,
+               cap: int = DEFAULT_WORD_CAP) -> tuple[list[list], WordTable]:
     """Dense matrix of the evaluation map on the truncated word basis.
 
     Rows are indexed by the presentation basis, columns by words of length
     <= max_length in canonical order.
     """
-    from .words import DEFAULT_WORD_CAP, enumerate_words
-
-    table = enumerate_words(pres.universe, max_length,
-                            cap if cap is not None else DEFAULT_WORD_CAP)
+    table = enumerate_words(pres.universe, max_length, cap)
     cols = [eta_evaluate(w, pres) for w in table.words]
     rows = [[col[i] for col in cols] for i in range(pres.dim)]
     return rows, table

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from math import gcd
+import math
+from fractions import Fraction
 
 from .rings import Ring
 
@@ -38,22 +39,12 @@ def rref(ring: Ring, rows: list[list]) -> tuple[list[list], list[int]]:
 
 def primitive_integer(vec: list) -> list:
     """Rescale a nonzero rational vector to coprime integers, first nonzero entry positive."""
-    from fractions import Fraction
-
-    lcm = 1
-    for x in vec:
-        if x:
-            lcm = lcm * x.denominator // gcd(lcm, x.denominator)
+    lcm = math.lcm(*(x.denominator for x in vec))
     ints = [int(x * lcm) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x), 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return [Fraction(x) for x in ints]
+    g = math.gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return [Fraction(x // g) for x in ints]
 
 
 def det(ring: Ring, rows: list[list]):

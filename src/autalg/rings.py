@@ -7,6 +7,7 @@ bundles the arithmetic so that callers never branch on the ring kind.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,27 +17,8 @@ MAX_PRIME = 2**31 - 1
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % q == 0:
-            return n == q
-    # deterministic Miller-Rabin, valid far beyond 2^31
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Trial division, a few milliseconds up to MAX_PRIME."""
+    return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -191,6 +192,25 @@ def test_rational_coefficients_are_fractions():
     for system in systems:
         for g in system.generators:
             assert all(type(c) is Fraction for c in g.terms.values())
+
+
+def test_ideal_leaves_no_cyclic_garbage():
+    # everything ideal_generators builds and drops is freed by reference
+    # counting, so no memo outlives the call waiting for a full collection
+    from conftest import CORPUS, load
+    for path in CORPUS:
+        pres = load(path.name)
+        modes = itertools.product({False, pres.degrees is not None},
+                                  {False, bool(pres.fixed)}, (False, True))
+        for (graded, fixed, inverse), length in itertools.product(modes, (2, 3)):
+            gc.collect()
+            gc.disable()
+            try:
+                ideal_generators(pres, length, graded=graded, fixed=fixed,
+                                 inverse=inverse)
+                assert gc.collect() == 0, (path.name, length, graded, fixed, inverse)
+            finally:
+                gc.enable()
 
 
 def test_kernel_basis_p0(p0):

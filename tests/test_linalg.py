@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,3 +39,17 @@ def test_span_membership_matches_rank(data):
                            for k in range(n))
             q = inside if data.draw(st.booleans()) else data.draw(vector)
             assert (q in span) == (_rank(ring, stack + [q]) == len(stack)), (q, stack)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.fractions(min_value=-1000, max_value=1000, max_denominator=60),
+                min_size=1, max_size=8).filter(any))
+def test_primitive_integer(vec):
+    out = linalg.primitive_integer(vec)
+    assert all(type(x) is Fraction and x.denominator == 1 for x in out)
+    assert math.gcd(*(int(x) for x in out)) == 1
+    assert next(x for x in out if x) > 0
+    # a rational multiple of the input: the same nonzero ratio everywhere
+    lead = next(k for k, x in enumerate(vec) if x)
+    ratio = out[lead] / vec[lead]
+    assert out == [ratio * x for x in vec]

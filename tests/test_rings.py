@@ -49,6 +49,7 @@ def test_is_prime_small():
     primes = [n for n in range(50) if is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
     assert is_prime(2**31 - 1)
+    assert not is_prime(46337**2)  # the largest prime square below 2^31
 
 
 def test_parse_ring_roundtrip():
