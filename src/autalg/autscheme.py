@@ -319,7 +319,9 @@ def locus_points(system: IdealSystem, budget: int = DEFAULT_BUDGET) -> list[tupl
     when it lies in the span of the rows above it (``linalg.Span``), so
     every full matrix reached is invertible.  A generator in t is checked
     there with t = 1/det, the only place a determinant is taken; t * det - 1
-    vanishes at every such matrix, so it is never evaluated.
+    vanishes at every such matrix, so it is never evaluated.  When no
+    generator has t, the last row's candidates past its last checked entry
+    that lie outside the span are points, kept in one pass.
     """
     ring, n = system.ring, system.n
     p = ring.p
@@ -349,6 +351,13 @@ def locus_points(system: IdealSystem, budget: int = DEFAULT_BUDGET) -> list[tupl
     def fill(i: int, j: int) -> None:
         row = theta[i]
         if j > last_checked[i]:
+            if i + 1 == n and not with_t:
+                # the last row: each candidate outside the span is a point
+                above = tuple(map(tuple, theta[:i]))
+                rows = itertools.product(*[(x,) for x in row[:j]],
+                                         *[range(p)] * (n - j))
+                points.extend([above + (r,) for r in span.outside(rows, p ** (n - j))])
+                return
             for suffix in itertools.product(range(p), repeat=n - j):
                 row[j:] = suffix
                 close(i)
@@ -372,5 +381,10 @@ def locus_points(system: IdealSystem, budget: int = DEFAULT_BUDGET) -> list[tupl
         if not any(g.evaluate(theta, tv) for g in with_t):
             points.append(tuple(map(tuple, theta)))
 
-    fill(0, 0)
+    try:
+        fill(0, 0)
+    finally:
+        # fill and close hold each other, and points, through their cells:
+        # emptying one frees them all by reference counting
+        fill = None
     return points

@@ -78,8 +78,9 @@ class Span:
     test and every later one is a lookup.  Building the set costs about as
     much as the reductions made before it, so no sequence of tests costs
     much more than reducing them all; a span that meets few tests, such as
-    the one a forced column is tested against, is never expanded.  A
-    vector is pushed only when it is not in the span.
+    the one a forced column is tested against, is never expanded.  A batch
+    of tests (``outside``) that reaches that count builds the set at once.
+    A vector is pushed only when it is not in the span.
     """
 
     def __init__(self, p: int, n: int):
@@ -104,13 +105,19 @@ class Span:
         self._left.pop()
 
     def __contains__(self, v: tuple) -> bool:
+        return not self.outside((v,), 1)
+
+    def outside(self, vectors, count: int) -> list[tuple]:
+        """The vectors not in the span, in order, of an iterable of count
+        vectors, which is consumed once and counts as count tests."""
         got = self._sets[-1]
         if got is None:
-            self._left[-1] -= 1
-            if self._left[-1]:
-                return not any(self._reduce(v))
+            left = self._left[-1] - count
+            if left > 0:
+                self._left[-1] = left
+                return [v for v in vectors if any(self._reduce(v))]
             got = self._sets[-1] = set(self._elements(len(self._reduced)))
-        return v in got
+        return [v for v in vectors if v not in got]
 
     def _reduce(self, v: tuple) -> list:
         p = self.p

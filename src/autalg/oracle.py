@@ -82,16 +82,18 @@ def enumerate_automorphisms(pres: Presentation, *, graded: bool = False,
     keep their product vectors sparse.
 
     Candidate columns are built one at a time during the search, never up
-    front.  A column d is forced when a product e_i e_j = v with i, j < d
-    ends at d (v_d != 0, v_r = 0 for r > d): the search tries only
-    col_d = v_d^-1 (col_i col_j - sum_{r<d} v_r col_r), and cuts the branch
-    if that vector leaves the column's support; the independence and
-    product checks still run on it.  The budget bounds the candidate
-    columns visited over the whole search, a forced column counting as all
-    the candidates of its depth, as if each were tried: more first columns
-    than budget raise BudgetExceeded before the search starts, and
-    otherwise each process stops after budget visits and the visits of all
-    of them are summed against it.  The first columns are
+    front.  At a last column that nothing forces or checks, all candidates
+    are counted against the budget before any is built, and those outside
+    the span are kept in one pass.  A column d is forced when a product
+    e_i e_j = v with i, j < d ends at d (v_d != 0, v_r = 0 for r > d): the
+    search tries only col_d = v_d^-1 (col_i col_j - sum_{r<d} v_r col_r),
+    and cuts the branch if that vector leaves the column's support; the
+    independence and product checks still run on it.  The budget bounds
+    the candidate columns visited over the whole search, a forced column
+    counting as all the candidates of its depth, as if each were tried:
+    more first columns than budget raise BudgetExceeded before the search
+    starts, and otherwise each process stops after budget visits and the
+    visits of all of them are summed against it.  The first columns are
     dealt round-robin to min(workers, first columns, CPU count) processes;
     with one, the search runs in this process.  The sorted result never
     depends on workers.
@@ -117,8 +119,7 @@ def enumerate_automorphisms(pres: Presentation, *, graded: bool = False,
     if sum(visited for _, visited in results) > budget:
         raise BudgetExceeded(f"more than {budget} candidate columns")
     autos = sorted(g for found, _ in results for g in found)
-    restricted = [_restrict(pres, g) for g in autos]
-    return AutoSet(p, autos, restricted)
+    return AutoSet(p, autos, _restrict(pres, autos))
 
 
 def _search_part(args) -> tuple[list[tuple], int]:
@@ -200,8 +201,19 @@ def _search(pres: Presentation, graded: bool, fixed: bool, budget: int,
         nonlocal visited
         if forcing[depth] is None:
             values = itertools.product(*ranges[depth])
+            count = p ** len(supports[depth])
             if depth == 0:
                 values = itertools.islice(values, part, None, parts)
+                count = len(range(part, count, parts))
+            if depth + 1 == dim and not checks[depth] and not fix_by_depth[depth]:
+                # the last column, with nothing to check: each candidate
+                # outside the span completes an automorphism
+                visited += count
+                if visited > budget:
+                    raise BudgetExceeded(f"more than {budget} candidate columns")
+                found.extend([tuple(zip(*cols, col))   # columns -> row tuples
+                              for col in span.outside(values, count)])
+                return
             step = 1
         else:
             # one candidate, counted as the whole product an exhaustive
@@ -224,15 +236,21 @@ def _search(pres: Presentation, graded: bool, fixed: bool, budget: int,
                     span.pop()
             cols.pop()
 
-    descend(0)
+    try:
+        descend(0)
+    finally:
+        # descend holds itself, and found, through its cell: emptying it
+        # frees them by reference counting
+        descend = None
     return found, visited
 
 
-def _restrict(pres: Presentation, g: tuple) -> tuple:
+def _restrict(pres: Presentation, autos: list[tuple]) -> list[tuple]:
+    """The restrictions of the matrices to the generating submodule."""
     gens = pres.gens
     if gens == list(range(pres.dim)):
-        return g
-    return tuple(tuple(g[a][b] for b in gens) for a in gens)
+        return list(autos)
+    return [tuple(tuple(g[a][b] for b in gens) for a in gens) for g in autos]
 
 
 def enumerate_automorphisms_via_section(pres: Presentation, *,
@@ -272,7 +290,7 @@ def enumerate_automorphisms_via_section(pres: Presentation, *,
         if _is_automorphism(pres, g, graded=graded, fixed=fixed):
             autos.append(g)
     autos.sort()
-    return AutoSet(p, autos, [_restrict(pres, g) for g in autos])
+    return AutoSet(p, autos, _restrict(pres, autos))
 
 
 def _is_automorphism(pres: Presentation, g: tuple, *, graded: bool,
@@ -326,6 +344,8 @@ def compare_locus(pres: Presentation, system: IdealSystem, *,
     locus = locus_points(system, budget=budget)
     autos = enumerate_automorphisms(pres, graded=system.graded, fixed=system.fixed,
                                     budget=budget, workers=workers)
+    if locus == autos.restricted:   # the locus has no duplicates
+        return ComparisonReport(len(locus), len(locus), [], [])
     locus_set = set(locus)
     oracle_set = set(autos.restricted)
     return ComparisonReport(

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -20,7 +21,22 @@ def test_span_membership_matches_rank(data):
     ring = GF(p)
     span = linalg.Span(p, n)
     vector = st.tuples(*[st.integers(0, p - 1)] * n)
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
     stack: list[tuple] = []
+    rank: dict[tuple, bool] = {}   # the reference answers for this stack
+
+    def outside(q):
+        if q not in rank:
+            rank[q] = _rank(ring, stack + [q]) > len(stack)
+        return rank[q]
+
+    def batch_vector():
+        # half in the span, half anywhere
+        if rng.random() < 0.5:
+            return tuple(rng.randrange(p) for _ in range(n))
+        coeffs = [rng.randrange(p) for _ in stack]
+        return tuple(sum(c * u[k] for c, u in zip(coeffs, stack)) % p for k in range(n))
+
     for _ in range(data.draw(st.integers(1, 12))):
         if stack and data.draw(st.booleans()):
             stack.pop()
@@ -30,6 +46,7 @@ def test_span_membership_matches_rank(data):
             if _rank(ring, stack + [v]) > len(stack):
                 stack.append(v)
                 span.push(v)
+        rank.clear()
         # up to 20 tests of the same span: enough to make it build its set
         # for small p^k, while larger spans stay with the reduction
         for _ in range(data.draw(st.integers(0, 20))):
@@ -38,7 +55,14 @@ def test_span_membership_matches_rank(data):
             inside = tuple(sum(c * u[k] for c, u in zip(coeffs, stack)) % p
                            for k in range(n))
             q = inside if data.draw(st.booleans()) else data.draw(vector)
-            assert (q in span) == (_rank(ring, stack + [q]) == len(stack)), (q, stack)
+            assert (q in span) != outside(q), (q, stack)
+        # batches of up to 40 tests, some fewer and some more than the span
+        # has left before it builds its set, so both the reduction and the
+        # lookup filter them; each is handed over as a one-pass iterator
+        for _ in range(data.draw(st.integers(0, 3))):
+            batch = [batch_vector() for _ in range(data.draw(st.integers(0, 40)))]
+            assert span.outside(iter(batch), len(batch)) == \
+                [q for q in batch if outside(q)], stack
 
 
 @settings(max_examples=200, deadline=None)

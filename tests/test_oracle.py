@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import tracemalloc
@@ -161,15 +162,41 @@ def _big_group(*products, p=5):
                  "generators e1 e2 e3\n" + "".join(f"mul 0 {m}\n" for m in products))
 
 
+def _zero_products(p, dim):
+    """Zero products on a dim-dimensional algebra over F_p, every basis
+    element a generator."""
+    names = [f"e{k}" for k in range(dim)]
+    return parse(f"ring Fp {p}\nproducts 0\n"
+                 + "".join(f"basis {nm}\n" for nm in names)
+                 + "generators " + " ".join(names) + "\n")
+
+
+def _fp_systems(length):
+    """(name, presentation, system without inverse block) for every F_p
+    corpus file in every allowed graded and fixed mode, and for the
+    three-dimensional big-group presentations over F_3."""
+    out = []
+    for path in CORPUS:
+        pres = load(path.name)
+        if pres.ring.p is None:
+            continue
+        for graded, fixed in itertools.product({False, pres.degrees is not None},
+                                               {False, bool(pres.fixed)}):
+            out.append((path.name, pres, ideal_generators(
+                pres, length, graded=graded, fixed=fixed, inverse=False)))
+    for products in [("e1 e1 = 1*e3",), ("e1 e1 = 1*e2", "e1 e2 = 1*e3"),
+                     ("e1 e2 = 1*e3",), ()]:
+        pres = _big_group(*products, p=3)
+        out.append((products, pres, ideal_generators(pres, length, inverse=False)))
+    return out
+
+
 @pytest.mark.parametrize("p, dim, order", [(3, 3, 11_232), (2, 4, 20_160)])
 def test_searches_find_general_linear_group(p, dim, order):
     # with zero products every invertible matrix is an automorphism, and the
     # forward system is empty: both searches must return the lexicographic
     # scan of GL_dim(F_p)
-    names = [f"e{k}" for k in range(dim)]
-    pres = parse(f"ring Fp {p}\nproducts 0\n"
-                 + "".join(f"basis {nm}\n" for nm in names)
-                 + "generators " + " ".join(names) + "\n")
+    pres = _zero_products(p, dim)
     scan = [pt for pt in (tuple(flat[i * dim:(i + 1) * dim] for i in range(dim))
                           for flat in itertools.product(range(p), repeat=dim * dim))
             if linalg.det(pres.ring, pt)]
@@ -221,7 +248,8 @@ def test_oracle_long_forced_chain():
     (_big_group("e1 e1 = 1*e3"), 375_625),                  # square
     (_big_group("e1 e1 = 1*e2", "e1 e2 = 1*e3"), 28_125),   # chain
     (_big_group("e1 e2 = 1*e3"), 175_625),                  # product
-], ids=["p2_f3", "square", "chain", "product"])
+    (_zero_products(2, 4), 43_936),   # 16 + 15 * 16 + 15 * 14 * 16 + 15 * 14 * 12 * 16
+], ids=["p2_f3", "square", "chain", "product", "zero"])
 def test_oracle_budget_threshold(pres, budget, workers):
     # the smallest budget that passes, the visits of the exhaustive column
     # search: a forced column counts as its whole product
@@ -305,6 +333,44 @@ def test_compare_detects_short_truncation():
     assert len(report.extra) == 2
     full = ideal_generators(pres, 3)
     assert compare_locus(pres, full).equal
+
+
+def test_compare_matches_set_reference():
+    # the report of a set comparison of the locus with the restrictions of
+    # the oracle's automorphisms, including truncated systems whose locus is
+    # too large, and presentations whose generators are not the whole basis
+    unequal = partial = 0
+    for length in (2, 3):
+        for name, pres, system in _fp_systems(length):
+            locus = locus_points(system)
+            gens = pres.gens
+            oracle = {tuple(tuple(g[a][b] for b in gens) for a in gens)
+                      for g in enumerate_automorphisms(pres, graded=system.graded,
+                                                       fixed=system.fixed).autos}
+            report = compare_locus(pres, system)
+            assert (report.locus_size, report.oracle_size, report.missing, report.extra) \
+                == (len(locus), len(oracle), sorted(oracle - set(locus)),
+                    sorted(set(locus) - oracle)), (name, length)
+            unequal += not report.equal
+            partial += gens != list(range(pres.dim))
+    assert unequal and partial
+
+
+def test_searches_leave_no_cyclic_garbage():
+    # what a search builds, its result included, is freed by reference
+    # counting once the caller drops it, not at the next full collection
+    for name, pres, system in _fp_systems(2):
+        options = {"graded": system.graded, "fixed": system.fixed}
+        for search, args, kwargs in [(locus_points, (system,), {}),
+                                     (enumerate_automorphisms, (pres,), options),
+                                     (compare_locus, (pres, system), {})]:
+            gc.collect()
+            gc.disable()
+            try:
+                search(*args, **kwargs)
+                assert gc.collect() == 0, (name, search.__name__)
+            finally:
+                gc.enable()
 
 
 def test_compare_fixed_and_graded(pv3, p2graded):
