@@ -315,13 +315,13 @@ def locus_points(system: IdealSystem, budget: int = DEFAULT_BUDGET) -> list[tupl
     so the points come out in the order of ``itertools.product``.  A t-free
     generator is checked as soon as the last entry it mentions is set; from
     the last entry of a row that some generator waits for, the rest of the
-    row runs through ``itertools.product`` at once.  A completed row is cut
-    when it lies in the span of the rows above it (``linalg.Span``), so
-    every full matrix reached is invertible.  A generator in t is checked
-    there with t = 1/det, the only place a determinant is taken; t * det - 1
-    vanishes at every such matrix, so it is never evaluated.  When no
-    generator has t, the last row's candidates past its last checked entry
-    that lie outside the span are points, kept in one pass.
+    row runs through ``itertools.product`` at once, and only the completed
+    rows outside the span of the rows above it (``linalg.Span``, one lazy
+    batch of tests) go on, so every full matrix reached is invertible.  A
+    generator in t is checked there with t = 1/det, the only place a
+    determinant is taken; t * det - 1 vanishes at every such matrix, so it
+    is never evaluated.  When no generator has t, the last rows outside
+    the span complete the points, kept in one pass.
     """
     ring, n = system.ring, system.n
     p = ring.p
@@ -351,16 +351,25 @@ def locus_points(system: IdealSystem, budget: int = DEFAULT_BUDGET) -> list[tupl
     def fill(i: int, j: int) -> None:
         row = theta[i]
         if j > last_checked[i]:
-            if i + 1 == n and not with_t:
-                # the last row: each candidate outside the span is a point
+            # the rest of the row at once, cut to the rows outside the span
+            rows = span.outside(itertools.product(*[(x,) for x in row[:j]],
+                                                  *[range(p)] * (n - j)),
+                                p ** (n - j))
+            if i + 1 < n:
+                for r in rows:
+                    row[:] = r
+                    span.push(r)
+                    fill(i + 1, 0)
+                    span.pop()
+            elif with_t:
+                for r in rows:
+                    row[:] = r
+                    tv = ring.invert(linalg.det(ring, theta))
+                    if not any(g.evaluate(theta, tv) for g in with_t):
+                        points.append(tuple(map(tuple, theta)))
+            else:
                 above = tuple(map(tuple, theta[:i]))
-                rows = itertools.product(*[(x,) for x in row[:j]],
-                                         *[range(p)] * (n - j))
-                points.extend([above + (r,) for r in span.outside(rows, p ** (n - j))])
-                return
-            for suffix in itertools.product(range(p), repeat=n - j):
-                row[j:] = suffix
-                close(i)
+                points.extend([above + (r,) for r in rows])
             return
         bucket = buckets[i * n + j]
         for v in range(p):
@@ -368,23 +377,10 @@ def locus_points(system: IdealSystem, budget: int = DEFAULT_BUDGET) -> list[tupl
             if not any(g.evaluate(theta) for g in bucket):
                 fill(i, j + 1)
 
-    def close(i: int) -> None:
-        row = tuple(theta[i])
-        if row in span:
-            return
-        if i + 1 < n:
-            span.push(row)
-            fill(i + 1, 0)
-            span.pop()
-            return
-        tv = ring.invert(linalg.det(ring, theta)) if with_t else None
-        if not any(g.evaluate(theta, tv) for g in with_t):
-            points.append(tuple(map(tuple, theta)))
-
     try:
         fill(0, 0)
     finally:
-        # fill and close hold each other, and points, through their cells:
-        # emptying one frees them all by reference counting
+        # fill holds itself, and points, through its cell: emptying the
+        # cell frees them by reference counting
         fill = None
     return points

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -78,9 +79,10 @@ class Span:
     test and every later one is a lookup.  Building the set costs about as
     much as the reductions made before it, so no sequence of tests costs
     much more than reducing them all; a span that meets few tests, such as
-    the one a forced column is tested against, is never expanded.  A batch
-    of tests (``outside``) that reaches that count builds the set at once.
-    A vector is pushed only when it is not in the span.
+    the one a forced column is tested against, is never expanded.  Tests
+    come in batches (``outside``), and a batch that reaches that count
+    builds the set at once.  A vector is pushed only when it is not in the
+    span.
     """
 
     def __init__(self, p: int, n: int):
@@ -104,20 +106,19 @@ class Span:
         self._sets.pop()
         self._left.pop()
 
-    def __contains__(self, v: tuple) -> bool:
-        return not self.outside((v,), 1)
-
-    def outside(self, vectors, count: int) -> list[tuple]:
-        """The vectors not in the span, in order, of an iterable of count
-        vectors, which is consumed once and counts as count tests."""
+    def outside(self, vectors, count: int):
+        """An iterator over the vectors not in the span, in order, of an
+        iterable of count vectors, which counts as count tests.  It reads
+        the vectors lazily, so the span must be the same at each step: what
+        is pushed between two steps is popped before the next."""
         got = self._sets[-1]
         if got is None:
             left = self._left[-1] - count
             if left > 0:
                 self._left[-1] = left
-                return [v for v in vectors if any(self._reduce(v))]
+                return filter(lambda v: any(self._reduce(v)), vectors)
             got = self._sets[-1] = set(self._elements(len(self._reduced)))
-        return [v for v in vectors if v not in got]
+        return itertools.filterfalse(got.__contains__, vectors)
 
     def _reduce(self, v: tuple) -> list:
         p = self.p

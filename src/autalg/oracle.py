@@ -82,19 +82,22 @@ def enumerate_automorphisms(pres: Presentation, *, graded: bool = False,
     keep their product vectors sparse.
 
     Candidate columns are built one at a time during the search, never up
-    front.  At a last column that nothing forces or checks, all candidates
-    are counted against the budget before any is built, and those outside
-    the span are kept in one pass.  A column d is forced when a product
-    e_i e_j = v with i, j < d ends at d (v_d != 0, v_r = 0 for r > d): the
-    search tries only col_d = v_d^-1 (col_i col_j - sum_{r<d} v_r col_r),
-    and cuts the branch if that vector leaves the column's support; the
-    independence and product checks still run on it.  The budget bounds
-    the candidate columns visited over the whole search, a forced column
-    counting as all the candidates of its depth, as if each were tried:
-    more first columns than budget raise BudgetExceeded before the search
-    starts, and otherwise each process stops after budget visits and the
-    visits of all of them are summed against it.  The first columns are
-    dealt round-robin to min(workers, first columns, CPU count) processes;
+    front, and each depth tests its candidates against the span as one
+    lazy batch.  At a last column that nothing forces or checks, the
+    candidates outside the span are kept in one pass.
+
+    A column d is forced when a product e_i e_j = v with i, j < d ends at d
+    (v_d != 0, v_r = 0 for r > d): the search tries only
+    col_d = v_d^-1 (col_i col_j - sum_{r<d} v_r col_r), and cuts the
+    branch if that vector leaves the column's support; the independence
+    and product checks still run on it.  The budget bounds the candidate
+    columns visited over the whole search, a forced column counting as all
+    the candidates of its depth, as if each were tried: more first columns
+    than budget raise BudgetExceeded before the search starts, and
+    otherwise each process stops at the first depth whose candidates take
+    its visits past budget, before it builds any of them, and the visits
+    of all of them are summed against it.  The first columns are dealt
+    round-robin to min(workers, first columns, CPU count) processes;
     with one, the search runs in this process.  The sorted result never
     depends on workers.
     """
@@ -201,31 +204,29 @@ def _search(pres: Presentation, graded: bool, fixed: bool, budget: int,
         nonlocal visited
         if forcing[depth] is None:
             values = itertools.product(*ranges[depth])
-            count = p ** len(supports[depth])
+            tests = p ** len(supports[depth])
             if depth == 0:
                 values = itertools.islice(values, part, None, parts)
-                count = len(range(part, count, parts))
-            if depth + 1 == dim and not checks[depth] and not fix_by_depth[depth]:
-                # the last column, with nothing to check: each candidate
-                # outside the span completes an automorphism
-                visited += count
-                if visited > budget:
-                    raise BudgetExceeded(f"more than {budget} candidate columns")
-                found.extend([tuple(zip(*cols, col))   # columns -> row tuples
-                              for col in span.outside(values, count)])
-                return
-            step = 1
+                tests = len(range(part, tests, parts))
+            visited += tests
         else:
             # one candidate, counted as the whole product an exhaustive
             # search visits here, so the budget bounds the same count
-            values = [forced(depth)]
-            step = p ** len(supports[depth])
+            col = forced(depth)
+            values = () if col is None else (col,)
+            tests = len(values)
+            visited += p ** len(supports[depth])
+        # every candidate of the depth is visited, so the budget is checked
+        # before the first one is built
+        if visited > budget:
+            raise BudgetExceeded(f"more than {budget} candidate columns")
+        values = span.outside(values, tests)
+        if depth + 1 == dim and not checks[depth] and not fix_by_depth[depth]:
+            # the last column, with nothing to check: each candidate
+            # outside the span completes an automorphism
+            found.extend([tuple(zip(*cols, col)) for col in values])
+            return
         for col in values:
-            visited += step
-            if visited > budget:
-                raise BudgetExceeded(f"more than {budget} candidate columns")
-            if col is None or col in span:
-                continue
             cols.append(col)
             if passes(depth):
                 if depth + 1 == dim:
