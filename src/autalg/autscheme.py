@@ -314,14 +314,15 @@ def locus_points(system: IdealSystem, budget: int = DEFAULT_BUDGET) -> list[tupl
     A depth-first search sets the entries row by row, trying 0..p-1 at each,
     so the points come out in the order of ``itertools.product``.  A t-free
     generator is checked as soon as the last entry it mentions is set; from
-    the last entry of a row that some generator waits for, the rest of the
-    row runs through ``itertools.product`` at once, and only the completed
-    rows outside the span of the rows above it (``linalg.Span``, one lazy
-    batch of tests) go on, so every full matrix reached is invertible.  A
-    generator in t is checked there with t = 1/det, the only place a
-    determinant is taken; t * det - 1 vanishes at every such matrix, so it
-    is never evaluated.  When no generator has t, the last rows outside
-    the span complete the points, kept in one pass.
+    the last entry of a row that some generator waits for, the values that
+    pass there and the rest of the row run through ``itertools.product`` at
+    once, and only the completed rows outside the span of the rows above it
+    (``linalg.Span``, one lazy batch of tests) go on, so every full matrix
+    reached is invertible.  A generator in t is checked there with
+    t = 1/det, the only place a determinant is taken; t * det - 1 vanishes
+    at every such matrix, so it is never evaluated.  When no generator has
+    t, the last rows outside the span complete the points, kept in one
+    pass.
     """
     ring, n = system.ring, system.n
     p = ring.p
@@ -350,32 +351,40 @@ def locus_points(system: IdealSystem, budget: int = DEFAULT_BUDGET) -> list[tupl
 
     def fill(i: int, j: int) -> None:
         row = theta[i]
-        if j > last_checked[i]:
-            # the rest of the row at once, cut to the rows outside the span
-            rows = span.outside(itertools.product(*[(x,) for x in row[:j]],
-                                                  *[range(p)] * (n - j)),
-                                p ** (n - j))
-            if i + 1 < n:
-                for r in rows:
-                    row[:] = r
-                    span.push(r)
-                    fill(i + 1, 0)
-                    span.pop()
-            elif with_t:
-                for r in rows:
-                    row[:] = r
-                    tv = ring.invert(linalg.det(ring, theta))
-                    if not any(g.evaluate(theta, tv) for g in with_t):
-                        points.append(tuple(map(tuple, theta)))
-            else:
-                above = tuple(map(tuple, theta[:i]))
-                points.extend([above + (r,) for r in rows])
-            return
-        bucket = buckets[i * n + j]
-        for v in range(p):
-            row[j] = v
-            if not any(g.evaluate(theta) for g in bucket):
-                fill(i, j + 1)
+        if j > last_checked[i]:   # a row with no check, from its first entry
+            values = range(p)
+        else:
+            bucket = buckets[i * n + j]
+            values = []
+            for v in range(p):
+                row[j] = v
+                if not any(g.evaluate(theta) for g in bucket):
+                    values.append(v)
+            if j < last_checked[i]:
+                for v in values:
+                    row[j] = v
+                    fill(i, j + 1)
+                return
+        # from the row's last check on, every completion at once, cut to the
+        # rows outside the span
+        rows = span.outside(itertools.product(*[(x,) for x in row[:j]], values,
+                                              *[range(p)] * (n - j - 1)),
+                            len(values) * p ** (n - j - 1))
+        if i + 1 < n:
+            for r in rows:
+                row[:] = r
+                span.push(r)
+                fill(i + 1, 0)
+                span.pop()
+        elif with_t:
+            for r in rows:
+                row[:] = r
+                tv = ring.invert(linalg.det(ring, theta))
+                if not any(g.evaluate(theta, tv) for g in with_t):
+                    points.append(tuple(map(tuple, theta)))
+        else:
+            above = tuple(map(tuple, theta[:i]))
+            points.extend([above + (r,) for r in rows])
 
     try:
         fill(0, 0)
