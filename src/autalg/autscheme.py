@@ -26,25 +26,18 @@ from .errors import BudgetExceeded, GradingViolation, TruncationTooShort
 from .freealg import FreeElement, eta_matrix, m_product
 from .poly import Polynomial, adjugate, generic_matrix
 from .poly import determinant as poly_determinant
-from .presentation import Presentation
+from .presentation import Presentation, generation_closure
 from .rings import Ring
 from .words import DEFAULT_WORD_CAP, Universe, Word, WordTable
 
 DEFAULT_BUDGET = 10**8
 
 
-@dataclass
-class GenericImage:
-    """Image of a word under the generic matrix action: same-length word ->
-    coefficient polynomial (a single monomial of degree = word length)."""
-
-    word: Word
-    coeffs: dict[Word, Polynomial]
-
-
 def generic_image(w: Word, universe: Universe, ring: Ring,
-                  cache: dict | None = None) -> GenericImage:
-    """Coefficient polynomials of the generic-matrix image of a word.
+                  cache: dict | None = None) -> dict[Word, Polynomial]:
+    """Coefficient polynomials of the generic-matrix image of a word, keyed
+    by the same-length words it lands on (each a single monomial of degree
+    the word's length).
 
     A leaf expands into all leaves with matrix-entry coefficients; a node's
     coefficients are products of its children's, landing on the node with
@@ -64,21 +57,19 @@ def generic_image(w: Word, universe: Universe, ring: Ring,
         gr = generic_image(w.right, universe, ring, cache)
         m = w.label
         node = universe.node
-        for b, qb in gl.coeffs.items():
-            for c, qc in gr.coeffs.items():
+        for b, qb in gl.items():
+            for c, qc in gr.items():
                 coeffs[node(b, m, c)] = qb.mul(qc)
-    out = GenericImage(w, coeffs)
     if cache is not None:
-        cache[w] = out
-    return out
+        cache[w] = coeffs
+    return coeffs
 
 
 def theta_tilde_word(theta: list[list], w: Word, universe: Universe,
-                     ring: Ring, memo: dict | None = None) -> FreeElement:
+                     ring: Ring, memo: dict) -> FreeElement:
     """Image of a word under the lifted automorphism of a concrete matrix,
-    computed by direct recursive substitution (independent of generic_image)."""
-    if memo is None:
-        memo = {}
+    computed by direct recursive substitution (independent of generic_image)
+    and memoized in ``memo``, which must belong to this theta."""
     got = memo.get(w)
     if got is not None:
         return got
@@ -108,7 +99,7 @@ def kernel_basis(pres: Presentation, max_length: int,
     """Truncated kernel of the evaluation map, reduced echelon in canonical
     column order; over the rationals, vectors are rescaled to primitive
     integer form."""
-    section = pres.generation_closure(cap)
+    section = generation_closure(pres, cap)
     if section.max_length > max_length:
         raise TruncationTooShort(
             f"generation needs words of length {section.max_length}, "
@@ -224,12 +215,6 @@ def _block(pres: Presentation, leaves: list[list[Polynomial]], words: list[Word]
     return out
 
 
-def _unit_determinant(ring: Ring, n: int) -> Polynomial:
-    """t * det(X) - 1, which vanishes exactly when t = 1/det(X)."""
-    t_det = Polynomial.t_var(ring, n).mul(poly_determinant(generic_matrix(ring, n)))
-    return t_det.sub(Polynomial.constant(ring, n, ring.one))
-
-
 def ideal_generators(pres: Presentation, max_length: int, *,
                      graded: bool = False, fixed: bool = False,
                      inverse: bool = True,
@@ -249,7 +234,7 @@ def ideal_generators(pres: Presentation, max_length: int, *,
     sigmas = []
     if fixed:
         # kernel_basis has already checked that the section fits in max_length
-        section = pres.generation_closure(cap)
+        section = generation_closure(pres, cap)
         for v in pres.fixed:
             sigma = FreeElement(ring)
             for i, c in enumerate(v):
@@ -278,7 +263,8 @@ def ideal_generators(pres: Presentation, max_length: int, *,
         inv_leaves = [[t.mul(a) for a in row] for row in adjugate(gm)]
         for coords in _block(pres, inv_leaves, words, kb.vectors):
             gens.extend(coords)
-        gens.append(_unit_determinant(ring, n))
+        # t * det(X) - 1, which vanishes exactly when t = 1/det(X)
+        gens.append(t.mul(poly_determinant(gm)).sub(Polynomial.constant(ring, n, ring.one)))
 
     seen = set()
     unique = []
@@ -319,9 +305,8 @@ def locus_points(system: IdealSystem, budget: int = DEFAULT_BUDGET) -> list[tupl
     once, and only the completed rows outside the span of the rows above it
     (``linalg.Span``, one lazy batch of tests) go on, so every full matrix
     reached is invertible.  A generator in t is checked there with
-    t = 1/det, the only place a determinant is taken; t * det - 1 vanishes
-    at every such matrix, so it is never evaluated.  When no generator has
-    t, the last rows outside the span complete the points, kept in one
+    t = 1/det, the only place a determinant is taken.  When no generator
+    has t, the last rows outside the span complete the points, kept in one
     pass.
     """
     ring, n = system.ring, system.n
@@ -330,13 +315,11 @@ def locus_points(system: IdealSystem, budget: int = DEFAULT_BUDGET) -> list[tupl
         raise ValueError("locus enumeration requires a prime field")
     if p ** (n * n) > budget:
         raise BudgetExceeded(f"{p}^{n * n} points exceeds budget {budget}")
-    unit = _unit_determinant(ring, n)
     buckets: list[list[Polynomial]] = [[] for _ in range(n * n)]
     with_t: list[Polynomial] = []
     for g in system.generators:
         if any(mono[-1] for mono in g.terms):
-            if g != unit:
-                with_t.append(g)
+            with_t.append(g)
         else:
             buckets[max((idx for mono in g.terms
                          for idx, e in enumerate(mono[:-1]) if e),

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success (and `check` true), 1 `check` false, 2 input or
-validation error, 3 comparison mismatch, 4 budget or limit exceeded.
+validation error, 3 comparison mismatch, 4 budget or limit exceeded or
+memory exhausted.
 Results go to stdout, diagnostics to stderr; output is byte-deterministic
 for fixed input and flags.
 """
@@ -62,10 +63,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run(args) -> int:
     pres = parse_file(args.input)
+    if args.command != "oracle" and args.max_length < 1:
+        raise ValueError("--max-length must be >= 1")
 
     if args.command == "enumerate":
-        if args.max_length < 1:
-            raise ValueError("--max-length must be >= 1")
         table = enumerate_words(pres.universe, args.max_length, args.word_cap)
         names = [pres.basis[i] for i in pres.gens]
         for w in table.words:
@@ -80,8 +81,6 @@ def _run(args) -> int:
             print(format_matrix(g))
         return 0
 
-    if args.max_length < 1:
-        raise ValueError("--max-length must be >= 1")
     # on GL_N the forward block implies the inverse one: only `ideal` prints it
     system = ideal_generators(pres, args.max_length, graded=args.graded,
                               fixed=args.fixed, cap=args.word_cap,
@@ -122,6 +121,9 @@ def main(argv=None) -> int:
         return _run(args)
     except (LimitExceeded, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 4
     except (AutalgError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,9 +23,6 @@ class FreeElement:
         return (isinstance(other, FreeElement) and self.ring == other.ring
                 and self.terms == other.terms)
 
-    def copy(self) -> "FreeElement":
-        return FreeElement(self.ring, dict(self.terms))
-
     def add_term(self, w: Word, c) -> None:
         cur = self.terms.get(w)
         if cur is None:
@@ -39,7 +36,7 @@ class FreeElement:
             del self.terms[w]
 
     def add(self, other: "FreeElement") -> "FreeElement":
-        out = self.copy()
+        out = FreeElement(self.ring, dict(self.terms))
         for w, c in other.terms.items():
             out.add_term(w, c)
         return out
@@ -79,15 +76,14 @@ def structure_product(pres, u: tuple, v: tuple, m: int) -> tuple:
     return tuple(out)
 
 
-def eta_evaluate(w: Word, pres, memo: dict | None = None) -> tuple:
+def eta_evaluate(w: Word, pres) -> tuple:
     """Image of a word under the evaluation homomorphism into the presented algebra.
 
     Leaves go to the presentation's generators; nodes recurse through the
     structure constants. Memoized on interned words (shared subtrees dominate
-    at larger lengths), held in the presentation unless a memo is supplied.
+    at larger lengths) in the presentation's ``eta_cache``.
     """
-    if memo is None:
-        memo = pres.eta_cache
+    memo = pres.eta_cache
     got = memo.get(w)
     if got is not None:
         return got
@@ -97,10 +93,8 @@ def eta_evaluate(w: Word, pres, memo: dict | None = None) -> tuple:
         vec[pres.gens[w.gen - 1]] = ring.one
         out = tuple(vec)
     else:
-        out = structure_product(pres,
-                                eta_evaluate(w.left, pres, memo),
-                                eta_evaluate(w.right, pres, memo),
-                                w.label)
+        out = structure_product(pres, eta_evaluate(w.left, pres),
+                                eta_evaluate(w.right, pres), w.label)
     memo[w] = out
     return out
 

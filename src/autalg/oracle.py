@@ -14,7 +14,7 @@ from .autscheme import DEFAULT_BUDGET, IdealSystem, locus_points, theta_tilde_wo
 from .errors import BudgetExceeded, GradingViolation
 from .freealg import eta_element, structure_product
 from .presentation import Presentation, parse as parse_presentation
-from .presentation import format_presentation
+from .presentation import format_presentation, generation_closure
 
 
 @dataclass
@@ -270,7 +270,7 @@ def enumerate_automorphisms_via_section(pres: Presentation, *,
     dim = pres.dim
     if p ** (n * n) > budget:
         raise BudgetExceeded(f"{p}^{n * n} candidates exceeds budget {budget}")
-    section = pres.generation_closure()
+    section = generation_closure(pres)
     universe = pres.universe
     autos = []
     for flat in itertools.product(range(p), repeat=n * n):

@@ -56,9 +56,6 @@ class Polynomial:
         return (isinstance(other, Polynomial) and self.ring == other.ring
                 and self.n == other.n and self.terms == other.terms)
 
-    def __hash__(self):
-        return hash((self.ring, self.n, frozenset(self.terms.items())))
-
     def key(self):
         return frozenset(self.terms.items())
 
@@ -125,21 +122,15 @@ class Polynomial:
             total = ring.add(total, v)
         return total
 
-    def substitute(self, entries: list["Polynomial"],
-                   t_poly: "Polynomial | None" = None) -> "Polynomial":
-        """Substitute polynomials for the X variables (flat, row-major) and t."""
+    def substitute(self, entries: list["Polynomial"]) -> "Polynomial":
+        """Substitute polynomials for the X variables (flat, row-major); t stays t."""
         ring, n = self.ring, self.n
         out = Polynomial(ring, n)
         for mono, c in self.terms.items():
-            term = Polynomial.constant(ring, n, c)
+            term = Polynomial(ring, n, {(0,) * (n * n) + mono[-1:]: c})
             for idx, e in enumerate(mono[:-1]):
                 for _ in range(e):
                     term = term.mul(entries[idx])
-            if mono[-1]:
-                if t_poly is None:
-                    t_poly = Polynomial.t_var(ring, n)
-                for _ in range(mono[-1]):
-                    term = term.mul(t_poly)
             out = out.add(term)
         return out
 
@@ -158,8 +149,6 @@ def determinant(mat: list[list[Polynomial]]) -> Polynomial:
     ring, arity = first.ring, first.n
     total = Polynomial.zero(ring, arity)
     for j in range(n):
-        if not mat[0][j]:
-            continue
         minor = [[row[c] for c in range(n) if c != j] for row in mat[1:]]
         term = mat[0][j].mul(determinant(minor))
         total = total.add(term.neg() if j % 2 else term)

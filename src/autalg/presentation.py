@@ -48,7 +48,6 @@ class Presentation:
 
     def __post_init__(self):
         self._universe = None
-        self._closure = None
         self.eta_cache: dict = {}
         self.validate()
         # per label, the nonzero structure constants as (i, j, [(k, s_k), ...])
@@ -115,16 +114,6 @@ class Presentation:
                         raise GradingViolation(
                             f"product <{m}> of {self.basis[i]} and {self.basis[j]} "
                             f"hits {self.basis[k]} of degree {self.degrees[k]}, expected {lam}")
-
-    # -- derived data -------------------------------------------------------
-
-    def generation_closure(self, cap: int = DEFAULT_WORD_CAP) -> "SectionData":
-        if self._closure is None:
-            self._closure = generation_closure(self, cap)
-        return self._closure
-
-    def base_change(self, p: int) -> "Presentation":
-        return base_change(self, p)
 
 
 @dataclass

@@ -118,14 +118,6 @@ def table_degree_rule(entries: dict[tuple[int, int, int], int]):
     return d
 
 
-def word_degree(w: Word, gen_degrees: list[int], d) -> int:
-    """Degree of a word: generator degree at leaves, d(deg left, m, deg right) at nodes."""
-    if w.is_leaf:
-        return gen_degrees[w.gen - 1]
-    return d(word_degree(w.left, gen_degrees, d), w.label,
-             word_degree(w.right, gen_degrees, d))
-
-
 def format_word(w: Word, names: list[str]) -> str:
     """Infix form ``(a <m> b)``; leaves print as generator names."""
     if w.is_leaf:

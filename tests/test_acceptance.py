@@ -187,7 +187,7 @@ def test_acceptance_7_two_path_agreement(capsys):
                 direct = theta_tilde_word(theta, w, u, f5, memo)
                 gi = generic_image(w, u, f5, cache)
                 summed = FreeElement(f5)
-                for b, q in gi.coeffs.items():
+                for b, q in gi.items():
                     summed.add_term(b, q.evaluate(theta, f5.one))
                 assert summed == direct
 

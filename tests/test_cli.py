@@ -5,6 +5,7 @@ from autalg.autscheme import ideal_generators
 from autalg.cli import main
 
 P0 = str(DATA / "p0_f2.malg")
+P1 = str(DATA / "p1_q.malg")
 P2 = str(DATA / "p2_f3.malg")
 P3 = str(DATA / "p3_f5.malg")
 PV = str(DATA / "pv_f3.malg")
@@ -83,13 +84,51 @@ def test_input_errors(capsys):
     code, _, err = run(capsys, "ideal", "--input", str(DATA / "nope.malg"),
                        "--max-length", "2")
     assert code == 2 and err.startswith("error:")
-    code, _, err = run(capsys, "ideal", "--input", P2, "--max-length", "0")
-    assert code == 2 and err.startswith("error:")
+    for argv in (["enumerate"], ["ideal"], ["check", "--point", "1,0;0,1"], ["compare"]):
+        code, out, err = run(capsys, *argv, "--input", P2, "--max-length", "0")
+        assert (code, out) == (2, "") and err.startswith("error:"), argv
     code, _, err = run(capsys, "check", "--input", P2, "--max-length", "2",
                        "--point", "1,2")
     assert code == 2 and "bad --point" in err
     code, out, err = run(capsys, "oracle", "--input", P2, "--graded")
     assert code == 2 and not out and "GradingViolation" in err
+
+
+def test_input_error_classes(capsys, tmp_path):
+    # one bad input per error class: exit 2, nothing on stdout, one
+    # diagnostic line naming the class
+    base = "ring Fp 3\nproducts 0\nbasis x\nbasis y\ngenerators x\n"
+    for text, name in [
+        ("ring Fp 3\nproducts 0\nbasis x\n", "SyntaxError"),
+        (base + "mul 0 x x = 1*z\n", "UnknownName"),
+        ("ring Fp 3\nproducts 0\nbasis x\nbasis x\ngenerators x\n", "DuplicateBasis"),
+        ("ring Fp 4\nproducts 0\nbasis x\ngenerators x\n", "BadPrime"),
+        ("ring Fp 3\nproducts 0\ngrading table\nbasis x 1\nbasis y 3\n"
+         "generators x y\nmul 0 x x = 1*y\ndtable 1 0 1 = 2\n", "GradingViolation"),
+        ("ring Fp 3\nproducts 0\ngrading table\nbasis x 1\nbasis y 2\n"
+         "generators x y\nmul 0 x x = 1*y\n", "MissingDegreeRule"),
+        (base + "mul 0 y y = 1*y\n", "NotGenerating"),
+    ]:
+        path = tmp_path / f"{name}.malg"
+        path.write_text(text)
+        code, out, err = run(capsys, "ideal", "--input", str(path), "--max-length", "2")
+        assert (code, out) == (2, ""), name
+        assert err.startswith(f"error: {name}: ") and err.count("\n") == 1, (name, err)
+    code, out, err = run(capsys, "ideal", "--input", str(tmp_path / "absent.malg"),
+                         "--max-length", "2")
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    code, out, err = run(capsys, "ideal", "--input", P1, "--max-length", "1")
+    assert (code, out) == (2, "") and err.startswith("error: TruncationTooShort: ")
+
+
+def test_out_of_memory_exit_code(capsys, monkeypatch):
+    # exit 1 belongs to `check` false: running out of memory is exit 4
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("autalg.cli.ideal_generators", exhausted)
+    code, out, err = run(capsys, "ideal", "--input", P2, "--max-length", "2")
+    assert (code, out, err) == (4, "", "error: out of memory\n")
 
 
 def test_limit_and_budget_exit_code(capsys):

@@ -82,10 +82,12 @@ def test_eta_is_multiplicative(p2):
 
 
 def test_eta_deterministic(p2):
-    # fresh memo tables must not change any value
+    # a fresh memo table must not change any value
     table = enumerate_words(p2.universe, 3)
-    first = [eta_evaluate(w, p2, memo={}) for w in table.words]
-    second = [eta_evaluate(w, p2, memo={}) for w in table.words]
+    p2.eta_cache.clear()
+    first = [eta_evaluate(w, p2) for w in table.words]
+    p2.eta_cache.clear()
+    second = [eta_evaluate(w, p2) for w in table.words]
     assert first == second
 
 

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from autalg.poly import (Polynomial, adjugate, determinant, format_poly,
                          generic_matrix, parse_poly)
 from autalg.rings import GF, QQ
@@ -123,6 +125,37 @@ def test_format_parse_roundtrip_random():
             assert parse_poly(format_poly(p), ring, n) == p
             # printing is stable under reparse as well
             assert format_poly(parse_poly(format_poly(p), ring, n)) == format_poly(p)
+
+
+def test_parse_poly_errors():
+    for text in ("1 * Y_1_1", "1 * X_1", "1 * t^x", "1 * X_3_1", "1 * X_1_0"):
+        with pytest.raises(ValueError):
+            parse_poly(text, QQ, 2)
+
+
+def test_substitute_keeps_t():
+    n = 2
+    x = [X(F5, n, i, j) for i in (1, 2) for j in (1, 2)]
+    t = Polynomial.t_var(F5, n)
+    p = x[0].mul(t).mul(t).add(t.scale(3)).add(x[3]).add(Polynomial.constant(F5, n, 4))
+    # swapping X_1_1 with X_1_2 and X_2_1 with X_2_2 leaves every power of t
+    swapped = p.substitute([x[1], x[0], x[3], x[2]])
+    assert format_poly(swapped) == "1 * X_1_2 * t^2 + 1 * X_2_1 + 3 * t + 4"
+    # substitution then evaluation is evaluation at the substituted values,
+    # with t bound to the same value on both sides
+    rng = random.Random(4)
+    for _ in range(20):
+        q = Polynomial.zero(F5, n)
+        for _ in range(4):
+            mono = tuple(rng.randrange(3) for _ in range(n * n + 1))
+            q = q.add(Polynomial(F5, n, {mono: rng.randrange(1, 5)}))
+        entries = [x[rng.randrange(4)].add(x[rng.randrange(4)]).mul(
+            t if rng.randrange(2) else x[rng.randrange(4)]) for _ in range(4)]
+        point = [[rng.randrange(5) for _ in range(n)] for _ in range(n)]
+        tv = rng.randrange(5)
+        values = [e.evaluate(point, tv) for e in entries]
+        assert q.substitute(entries).evaluate(point, tv) == \
+            q.evaluate([values[:2], values[2:]], tv)
 
 
 def test_grlex_printing_order():

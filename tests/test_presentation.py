@@ -54,10 +54,35 @@ def test_parse_errors():
          "generators x\n", 5),
         ("ring Q\nproducts 0\nbasis x\nbasis y 1\ngrading table\n"
          "generators x\n", 3),
+        # malformed lines
+        ("ring Z\nproducts 0\nbasis x\ngenerators x\n", 1),
+        ("ring Q\nproducts 0 a\nbasis x\ngenerators x\n", 2),
+        (base + "grading weighted\n", 6),
+        ("ring Q\nproducts 0\nbasis\ngenerators x\n", 3),
+        ("ring Q\nproducts 0\nbasis x 1 2\ngenerators x\n", 3),
+        ("ring Q\nproducts 0\ngrading vertex\nbasis x one\ngenerators x\n", 4),
+        ("ring Q\nproducts 0\ngrading table\nbasis x 1\ngenerators x\n"
+         "dtable 1 0 = 2\n", 6),
+        (base + "unit x\n", 6),
+        (base + "mul 0 x x = y\n", 6),
+        (base + "mul 0 x x = a*y\n", 6),
+        (base + "fixed 1*x + 1/0*y\n", 6),
+        # missing required lines are reported at line 0
+        ("products 0\nbasis x\ngenerators x\n", 0),
+        ("ring Q\nproducts 0\ngenerators x\n", 0),
+        ("ring Q\nproducts 0\nbasis x\n", 0),
     ]:
         with pytest.raises(PresentationSyntaxError) as exc:
             parse(text)
         assert exc.value.line == line, text
+    # name errors carry their line in the message
+    for text, line in [
+        (base + "mul 0 x z = 1*y\n", 6),
+        (base + "mul 0 z x = 1*y\n", 6),
+        (base + "fixed 1*z\n", 6),
+    ]:
+        with pytest.raises(UnknownName, match=f"line {line}: unknown basis name"):
+            parse(text)
 
 
 def test_validate_rejects_out_of_range():
@@ -66,16 +91,24 @@ def test_validate_rejects_out_of_range():
     base = dict(ring=QQ, basis=["x", "y"], degrees=None, labels=[0], gens=[0],
                 mul={(0, 0, 0): (zero, one)})
     Presentation(**base)
-    for change in [
-        dict(gens=[7]),
-        dict(gens=[0, 0]),
-        dict(mul={(0, 5, 0): (zero, one)}),
-        dict(degrees=[1], gens=[0, 1]),
-        dict(fixed=[(one,)]),
+    for change, error in [
+        (dict(gens=[7]), PresentationSyntaxError),
+        (dict(gens=[0, 0]), PresentationSyntaxError),
+        (dict(mul={(0, 5, 0): (zero, one)}), PresentationSyntaxError),
+        (dict(degrees=[1], gens=[0, 1]), PresentationSyntaxError),
+        (dict(fixed=[(one,)]), PresentationSyntaxError),
+        (dict(basis=["x", "x"]), DuplicateBasis),
+        (dict(gens=[]), UnknownName),
+        (dict(labels=[]), PresentationSyntaxError),
+        (dict(labels=[0, 0]), PresentationSyntaxError),
+        (dict(grading="vertex"), PresentationSyntaxError),
+        (dict(mul={(1, 0, 0): (zero, one)}), UnknownName),
+        (dict(mul={(0, 0, 0): (one,)}), PresentationSyntaxError),
     ]:
-        with pytest.raises(PresentationSyntaxError) as exc:
+        with pytest.raises(error) as exc:
             Presentation(**{**base, **change})
-        assert exc.value.line == 0, change
+        if error is PresentationSyntaxError:
+            assert exc.value.line == 0, change
 
 
 def test_grading_violation():

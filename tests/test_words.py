@@ -4,7 +4,7 @@ import pytest
 
 from autalg.errors import LimitExceeded, MissingDegreeRule
 from autalg.words import (Universe, enumerate_words, format_word,
-                          table_degree_rule, vertex_degree_rule, word_degree)
+                          table_degree_rule)
 
 
 def brute_counts(num_gens, num_labels, max_length):
@@ -86,32 +86,21 @@ def test_limit_exceeded():
         enumerate_words(Universe(3, [0, 1, 2]), 6, cap=1000)
 
 
-def test_word_degree_examples():
-    u = Universe(1, [-1, 0])
-    leaf = u.leaf(1)
-    assert word_degree(leaf, [0], vertex_degree_rule) == 0
-    w = u.node(leaf, -1, leaf)
-    assert word_degree(w, [0], vertex_degree_rule) == 0
-    u2 = Universe(1, [0])
-    x = u2.leaf(1)
-    w3 = u2.node(u2.node(x, 0, x), 0, x)
-    assert word_degree(w3, [1], lambda a, m, b: a + b) == 3
-
-
-def test_word_degree_top_down_equals_bottom_up():
-    # accumulate degrees bottom-up over the table and compare with the recursion
-    u = Universe(2, [-1, 2])
-    table = enumerate_words(u, 4)
-    gen_degrees = [1, 3]
-    d = vertex_degree_rule
-    bottom_up = {}
-    for w in table.words:
-        if w.is_leaf:
-            bottom_up[w] = gen_degrees[w.gen - 1]
-        else:
-            bottom_up[w] = d(bottom_up[w.left], w.label, bottom_up[w.right])
-    for w in table.words:
-        assert word_degree(w, gen_degrees, d) == bottom_up[w]
+def test_invalid_arguments():
+    u = Universe(2, [0])
+    x = u.leaf(1)
+    for call, error in [
+        (lambda: Universe(0, [0]), ValueError),
+        (lambda: Universe(1, []), ValueError),
+        (lambda: Universe(1, [0, 0]), ValueError),
+        (lambda: u.leaf(0), ValueError),
+        (lambda: u.leaf(3), ValueError),
+        (lambda: u.node(x, 1, x), ValueError),
+        (lambda: enumerate_words(u, 0), ValueError),
+        (lambda: enumerate_words(Universe(3, [0]), 1, cap=2), LimitExceeded),
+    ]:
+        with pytest.raises(error):
+            call()
 
 
 def test_table_degree_rule_missing():
