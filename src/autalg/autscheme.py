@@ -36,8 +36,8 @@ DEFAULT_BUDGET = 10**8
 def generic_image(w: Word, universe: Universe, ring: Ring,
                   cache: dict | None = None) -> dict[Word, Polynomial]:
     """Coefficient polynomials of the generic-matrix image of a word, keyed
-    by the same-length words it lands on (each a single monomial of degree
-    the word's length).
+    by the same-length words it lands on; each is a single monomial whose
+    degree is the word's length.
 
     A leaf expands into all leaves with matrix-entry coefficients; a node's
     coefficients are products of its children's, landing on the node with
