@@ -84,22 +84,23 @@ def test_canonical_order_deterministic():
 def test_limit_exceeded():
     with pytest.raises(LimitExceeded):
         enumerate_words(Universe(3, [0, 1, 2]), 6, cap=1000)
+    with pytest.raises(LimitExceeded):  # the leaves alone exceed the cap
+        enumerate_words(Universe(3, [0]), 1, cap=2)
 
 
 def test_invalid_arguments():
     u = Universe(2, [0])
     x = u.leaf(1)
-    for call, error in [
-        (lambda: Universe(0, [0]), ValueError),
-        (lambda: Universe(1, []), ValueError),
-        (lambda: Universe(1, [0, 0]), ValueError),
-        (lambda: u.leaf(0), ValueError),
-        (lambda: u.leaf(3), ValueError),
-        (lambda: u.node(x, 1, x), ValueError),
-        (lambda: enumerate_words(u, 0), ValueError),
-        (lambda: enumerate_words(Universe(3, [0]), 1, cap=2), LimitExceeded),
+    for call in [
+        lambda: Universe(0, [0]),
+        lambda: Universe(1, []),
+        lambda: Universe(1, [0, 0]),
+        lambda: u.leaf(0),
+        lambda: u.leaf(3),
+        lambda: u.node(x, 1, x),
+        lambda: enumerate_words(u, 0),
     ]:
-        with pytest.raises(error):
+        with pytest.raises(ValueError):
             call()
 
 
