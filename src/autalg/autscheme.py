@@ -125,7 +125,9 @@ def kernel_basis(pres: Presentation, max_length: int,
 
 @dataclass
 class IdealSystem:
-    """Ordered polynomial generators cutting the automorphism locus out of GL_N."""
+    """Ordered polynomial generators cutting the automorphism locus out of GL_N.
+
+    With ``inverse`` on, the last generator is t * det(X) - 1."""
 
     n: int
     ring: Ring
@@ -305,9 +307,12 @@ def locus_points(system: IdealSystem, budget: int = DEFAULT_BUDGET) -> list[tupl
     once, and only the completed rows outside the span of the rows above it
     (``linalg.Span``, one lazy batch of tests) go on, so every full matrix
     reached is invertible.  A generator in t is checked there with
-    t = 1/det, the only place a determinant is taken.  When no generator
-    has t, the last rows outside the span complete the points, kept in one
-    pass.
+    t = 1/det, the only place a determinant is taken.  With the inverse
+    block on, the last generator is t * det - 1 (``ideal_generators``
+    appends it last, and no other generator has both t and a constant
+    term); it vanishes at t = 1/det, so it is skipped.  When no other
+    generator has t, the last rows outside the span complete the points,
+    kept in one pass.
     """
     ring, n = system.ring, system.n
     p = ring.p
@@ -317,7 +322,7 @@ def locus_points(system: IdealSystem, budget: int = DEFAULT_BUDGET) -> list[tupl
         raise BudgetExceeded(f"{p}^{n * n} points exceeds budget {budget}")
     buckets: list[list[Polynomial]] = [[] for _ in range(n * n)]
     with_t: list[Polynomial] = []
-    for g in system.generators:
+    for g in system.generators[:-1] if system.inverse else system.generators:
         if any(mono[-1] for mono in g.terms):
             with_t.append(g)
         else:

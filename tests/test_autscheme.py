@@ -426,12 +426,17 @@ def test_locus_search_matches_scan(p2q):
         systems.append(IdealSystem(n, ring, 1, False, False, True,
                                    [unit.sub(Polynomial.constant(ring, n, 1))]))
     # SL_2(F_3) and SL_3(F_3): only a generator in t cuts, so the t = 1/det
-    # check must run, on the sign and every pivot of the determinant
+    # check must run, on the sign and every pivot of the determinant; the
+    # inverse flag is off, as these systems do not end in t * det - 1
     for n in (2, 3):
-        systems.append(IdealSystem(n, F3, 1, False, False, True,
+        systems.append(IdealSystem(n, F3, 1, False, False, False,
                                    [parse_poly("1 * t + 2", F3, n)]))
     assert any(s.n == 1 for s in systems)
     for system in systems:
+        if system.inverse:  # the generator the search skips
+            ring, n = system.ring, system.n
+            unit = Polynomial.t_var(ring, n).mul(determinant(generic_matrix(ring, n)))
+            assert system.generators[-1] == unit.sub(Polynomial.constant(ring, n, 1))
         assert locus_points(system) == _scan(system)
     assert [len(locus_points(s)) for s in systems[-4:]] == [48, 168, 24, 5616]
 
