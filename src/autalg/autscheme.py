@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import BudgetExceeded, GradingViolation, TruncationTooShort
-from .freealg import FreeElement, eta_matrix, m_product
+from .freealg import eta_matrix, m_product
 from .poly import Polynomial, adjugate, generic_matrix
 from .poly import determinant as poly_determinant
 from .presentation import Presentation, generation_closure
@@ -66,7 +66,7 @@ def generic_image(w: Word, universe: Universe, ring: Ring,
 
 
 def theta_tilde_word(theta: list[list], w: Word, universe: Universe,
-                     ring: Ring, memo: dict) -> FreeElement:
+                     ring: Ring, memo: dict) -> dict[Word, object]:
     """Image of a word under the lifted automorphism of a concrete matrix,
     computed by direct recursive substitution (independent of generic_image)
     and memoized in ``memo``, which must belong to this theta."""
@@ -74,12 +74,10 @@ def theta_tilde_word(theta: list[list], w: Word, universe: Universe,
     if got is not None:
         return got
     if w.is_leaf:
-        j = w.gen
-        e = FreeElement(ring)
-        for i in range(1, universe.num_gens + 1):
-            e.add_term(universe.leaf(i), theta[i - 1][j - 1])
+        column = [row[w.gen - 1] for row in theta]
+        e = {universe.leaf(i): c for i, c in enumerate(column, 1) if c}
     else:
-        e = m_product(theta_tilde_word(theta, w.left, universe, ring, memo),
+        e = m_product(ring, theta_tilde_word(theta, w.left, universe, ring, memo),
                       theta_tilde_word(theta, w.right, universe, ring, memo),
                       w.label, universe)
     memo[w] = e
@@ -90,7 +88,7 @@ def theta_tilde_word(theta: list[list], w: Word, universe: Universe,
 class KernelBasis:
     """Reduced-echelon basis of the truncated kernel of the evaluation map."""
 
-    vectors: list[FreeElement]
+    vectors: list[dict[Word, object]]
     table: WordTable
 
 
@@ -119,7 +117,7 @@ def kernel_basis(pres: Presentation, max_length: int,
         if ring.p is None:
             coeffs = linalg.primitive_integer(coeffs)
         support = [words[pivots[r]] for r in hits] + [words[c]]
-        vectors.append(FreeElement(ring, dict(zip(support, coeffs))))
+        vectors.append(dict(zip(support, coeffs)))
     return KernelBasis(vectors, table)
 
 
@@ -147,12 +145,13 @@ class IdealSystem:
 
 def _add_scaled(acc: dict, q: Polynomial, f) -> None:
     """acc += f * q on a term dict, dropping terms that cancel."""
+    ring = q.ring
     for mono, c in q.terms.items():
-        q._accum(acc, mono, q.ring.mul(f, c))
+        ring.accumulate(acc, mono, ring.mul(f, c))
 
 
 def _block(pres: Presentation, leaves: list[list[Polynomial]], words: list[Word],
-           elements: list[FreeElement]) -> list[list[Polynomial]]:
+           elements: list[dict[Word, object]]) -> list[list[Polynomial]]:
     """Coordinates in the presented algebra of the image of each element
     under the endomorphism sending generator j to sum_i leaves[i][j] * x_i.
 
@@ -194,10 +193,10 @@ def _block(pres: Presentation, leaves: list[list[Polynomial]], words: list[Word]
         psi[w] = [Polynomial(ring, n, terms) for terms in acc]
     out = []
     for element in elements:
-        factors = element.terms.items()
+        factors = element.items()
         if ring.p is None:
-            denom = math.lcm(*(alpha.denominator for alpha in element.terms.values()))
-            top = max((w.length for w in element.terms), default=1)
+            denom = math.lcm(*(alpha.denominator for alpha in element.values()))
+            top = max((w.length for w in element), default=1)
             factors = [(w, int(alpha * denom) * scale ** (top - w.length))
                        for w, alpha in factors]
         acc = [{} for _ in range(pres.dim)]
@@ -238,10 +237,10 @@ def ideal_generators(pres: Presentation, max_length: int, *,
         # kernel_basis has already checked that the section fits in max_length
         section = generation_closure(pres, cap)
         for v in pres.fixed:
-            sigma = FreeElement(ring)
-            for i, c in enumerate(v):
-                if c:
-                    sigma = sigma.add(section.elements[i].scale(c))
+            sigma: dict[Word, object] = {}
+            for c, element in zip(v, section.elements):
+                for w, x in element.items():
+                    ring.accumulate(sigma, w, ring.mul(c, x))
             sigmas.append(sigma)
     words = kb.table.words
     gm = generic_matrix(ring, n)

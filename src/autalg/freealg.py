@@ -1,60 +1,26 @@
-"""The free algebra on the generator set: finitely supported combinations of
-words, bilinear m-products, and the evaluation map into a presented algebra."""
+"""The free algebra on the generator set, bilinear m-products, and the
+evaluation map into a presented algebra.
+
+An element of the free algebra is a plain dict from interned words to
+nonzero scalars: a finitely supported combination of words, with no key
+for a zero coefficient.  ``Ring.accumulate`` keeps sums in that form.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .rings import Ring
 from .words import DEFAULT_WORD_CAP, Universe, Word, WordTable, enumerate_words
 
 
-@dataclass
-class FreeElement:
-    """Finite map word -> nonzero scalar; zero coefficients are never stored."""
+def m_product(ring: Ring, a: dict[Word, object], b: dict[Word, object], m: int,
+              universe: Universe) -> dict[Word, object]:
+    """Bilinear extension of the magma product to free-algebra elements.
 
-    ring: Ring
-    terms: dict[Word, object] = field(default_factory=dict)
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (isinstance(other, FreeElement) and self.ring == other.ring
-                and self.terms == other.terms)
-
-    def add_term(self, w: Word, c) -> None:
-        cur = self.terms.get(w)
-        if cur is None:
-            if c:
-                self.terms[w] = c
-            return
-        s = self.ring.add(cur, c)
-        if s:
-            self.terms[w] = s
-        else:
-            del self.terms[w]
-
-    def add(self, other: "FreeElement") -> "FreeElement":
-        out = FreeElement(self.ring, dict(self.terms))
-        for w, c in other.terms.items():
-            out.add_term(w, c)
-        return out
-
-    def scale(self, c) -> "FreeElement":
-        if not c:
-            return FreeElement(self.ring)
-        return FreeElement(self.ring, {w: self.ring.mul(c, x) for w, x in self.terms.items()})
-
-
-def m_product(a: FreeElement, b: FreeElement, m: int, universe: Universe) -> FreeElement:
-    """Bilinear extension of the magma product to free elements."""
-    ring = a.ring
-    out = FreeElement(ring)
-    for wa, ca in a.terms.items():
-        for wb, cb in b.terms.items():
-            out.add_term(universe.node(wa, m, wb), ring.mul(ca, cb))
-    return out
+    Distinct word pairs give distinct nodes, and a product of nonzero field
+    scalars is nonzero, so no term cancels and none is zero."""
+    node = universe.node
+    return {node(wa, m, wb): ring.mul(ca, cb)
+            for wa, ca in a.items() for wb, cb in b.items()}
 
 
 def structure_product(pres, u: tuple, v: tuple, m: int) -> tuple:
@@ -99,10 +65,10 @@ def eta_evaluate(w: Word, pres) -> tuple:
     return out
 
 
-def eta_element(e: FreeElement, pres) -> tuple:
+def eta_element(e: dict[Word, object], pres) -> tuple:
     ring = pres.ring
     out = [ring.zero] * pres.dim
-    for w, c in e.terms.items():
+    for w, c in e.items():
         for k, x in enumerate(eta_evaluate(w, pres)):
             if x:
                 out[k] = ring.add(out[k], ring.mul(c, x))

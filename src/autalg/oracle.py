@@ -281,7 +281,7 @@ def enumerate_automorphisms_via_section(pres: Presentation, *,
         g_cols = []
         for k in range(dim):
             img = [ring.zero] * dim
-            for w, c in section.elements[k].terms.items():
+            for w, c in section.elements[k].items():
                 vec = eta_element(theta_tilde_word(theta, w, universe, ring, memo), pres)
                 for r, x in enumerate(vec):
                     if x:

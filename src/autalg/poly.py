@@ -61,22 +61,10 @@ class Polynomial:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _accum(self, acc: dict, mono: tuple, c) -> None:
-        cur = acc.get(mono)
-        if cur is None:
-            if c:
-                acc[mono] = c
-        else:
-            s = self.ring.add(cur, c)
-            if s:
-                acc[mono] = s
-            else:
-                del acc[mono]
-
     def add(self, other: "Polynomial") -> "Polynomial":
         acc = dict(self.terms)
         for mono, c in other.terms.items():
-            self._accum(acc, mono, c)
+            self.ring.accumulate(acc, mono, c)
         return Polynomial(self.ring, self.n, acc)
 
     def sub(self, other: "Polynomial") -> "Polynomial":
@@ -98,7 +86,7 @@ class Polynomial:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mono = tuple(map(operator.add, m1, m2))
-                self._accum(acc, mono, ring.mul(c1, c2))
+                ring.accumulate(acc, mono, ring.mul(c1, c2))
         return Polynomial(ring, self.n, acc)
 
     def total_degree(self) -> int:
@@ -189,7 +177,7 @@ def format_poly(p: Polynomial) -> str:
         return "0"
     pieces = []
     for mono in sorted(p.terms, key=_grlex_key, reverse=True):
-        parts = [p.ring.format(p.terms[mono])]
+        parts = [str(p.terms[mono])]
         for idx, e in enumerate(mono):
             if e == 1:
                 parts.append(_var_name(idx, p.n))
@@ -207,7 +195,6 @@ def parse_poly(text: str, ring: Ring, n: int) -> Polynomial:
     if text == "0":
         return Polynomial.zero(ring, n)
     acc: dict = {}
-    p = Polynomial(ring, n, acc)
     for term in text.split(" + "):
         factors = [f.strip() for f in term.split("*")]
         c = ring.parse(factors[0])
@@ -224,5 +211,5 @@ def parse_poly(text: str, ring: Ring, n: int) -> Polynomial:
                 if not (1 <= i <= n and 1 <= j <= n):
                     raise ValueError(f"variable {f!r} out of range for n={n}")
                 exps[(i - 1) * n + (j - 1)] += e
-        p._accum(acc, tuple(exps), c)
-    return p
+        ring.accumulate(acc, tuple(exps), c)
+    return Polynomial(ring, n, acc)

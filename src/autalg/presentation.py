@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 from . import linalg
 from .errors import (BadPrime, DuplicateBasis, GradingViolation, NotGenerating,
                      PresentationSyntaxError, UnknownName)
-from .freealg import FreeElement, eta_element, eta_matrix, structure_product
+from .freealg import eta_element, eta_matrix, structure_product
 from .rings import QQ, GF, Ring, parse_ring, reduce_mod_p
-from .words import (DEFAULT_WORD_CAP, Universe, table_degree_rule,
+from .words import (DEFAULT_WORD_CAP, Universe, Word, table_degree_rule,
                     vertex_degree_rule)
 
 _TERM_SPLIT = re.compile(r"\s*\+\s*")
@@ -120,7 +120,7 @@ class Presentation:
 class SectionData:
     """For each basis element, a free-algebra preimage under evaluation."""
 
-    elements: list[FreeElement]
+    elements: list[dict[Word, object]]
     max_length: int
 
 
@@ -174,12 +174,8 @@ def generation_closure(pres: Presentation, cap: int = DEFAULT_WORD_CAP) -> Secti
     # solve V c = e_i with V the pivot columns of eta
     words = table.words
     vinv = linalg.inverse(ring, [[row[c] for c in pivots] for row in eta])
-    elements = []
-    for i in range(dim):
-        e = FreeElement(ring)
-        for j, c in enumerate(pivots):
-            e.add_term(words[c], vinv[j][i])
-        elements.append(e)
+    elements = [{words[c]: x for j, c in enumerate(pivots) if (x := vinv[j][i])}
+                for i in range(dim)]
     section = SectionData(elements, length)
     for i, e in enumerate(section.elements):
         img = eta_element(e, pres)
@@ -370,8 +366,8 @@ def parse_file(path) -> Presentation:
 # -- canonical printing ----------------------------------------------------
 
 
-def _format_combo(vec: tuple, basis: list[str], ring: Ring) -> str:
-    parts = [f"{ring.format(c)}*{basis[i]}" for i, c in enumerate(vec) if c]
+def _format_combo(vec: tuple, basis: list[str]) -> str:
+    parts = [f"{c!s}*{basis[i]}" for i, c in enumerate(vec) if c]
     return " + ".join(parts) if parts else f"0*{basis[0]}"
 
 
@@ -386,10 +382,10 @@ def format_presentation(pres: Presentation) -> str:
             lines.append(f"basis {name} {pres.degrees[i]}")
     lines.append("generators " + " ".join(pres.basis[i] for i in pres.gens))
     for vec in pres.fixed:
-        lines.append("fixed " + _format_combo(vec, pres.basis, pres.ring))
+        lines.append("fixed " + _format_combo(vec, pres.basis))
     label_pos = {m: k for k, m in enumerate(pres.labels)}
     for (m, i, j) in sorted(pres.mul, key=lambda k: (label_pos[k[0]], k[1], k[2])):
-        combo = _format_combo(pres.mul[(m, i, j)], pres.basis, pres.ring)
+        combo = _format_combo(pres.mul[(m, i, j)], pres.basis)
         lines.append(f"mul {m} {pres.basis[i]} {pres.basis[j]} = {combo}")
     for key in sorted(pres.dtable):
         a, m, b = key

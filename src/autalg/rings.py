@@ -59,8 +59,19 @@ class Ring:
             return Fraction(1) / a
         return pow(a, self.p - 2, self.p)
 
-    def format(self, a) -> str:
-        return str(a)
+    def accumulate(self, acc: dict, key, c) -> None:
+        """acc[key] += c, deleting the key when the sum is zero; a zero c
+        stores nothing, so acc never holds a zero value."""
+        cur = acc.get(key)
+        if cur is None:
+            if c:
+                acc[key] = c
+        else:
+            s = self.add(cur, c)
+            if s:
+                acc[key] = s
+            else:
+                del acc[key]
 
     def parse(self, text: str):
         text = text.strip()

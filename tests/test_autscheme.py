@@ -5,17 +5,18 @@ from fractions import Fraction
 
 import pytest
 
+from autalg import linalg
 from autalg.autscheme import (IdealSystem, check_point, generic_image,
                               ideal_generators, kernel_basis, locus_points,
                               theta_tilde_word)
 from autalg.errors import (BudgetExceeded, GradingViolation,
                            TruncationTooShort)
-from autalg.freealg import FreeElement, eta_element, eta_evaluate
+from autalg.freealg import eta_element, eta_evaluate, m_product
 from autalg.poly import (Polynomial, adjugate, determinant, format_poly,
                          generic_matrix, parse_poly)
 from autalg.presentation import base_change, generation_closure, parse
 from autalg.rings import GF, QQ
-from autalg.words import Universe, enumerate_words
+from autalg.words import Universe, Word, enumerate_words
 
 F3 = GF(3)
 
@@ -81,9 +82,9 @@ def test_two_path_agreement():
         for w in table.words:
             direct = theta_tilde_word(theta, w, u, f5, memo)
             gi = generic_image(w, u, f5, cache)
-            summed = FreeElement(f5)
+            summed = {}
             for b, q in gi.items():
-                summed.add_term(b, q.evaluate(theta, f5.one))
+                f5.accumulate(summed, b, q.evaluate(theta, f5.one))
             assert summed == direct
 
 
@@ -96,7 +97,7 @@ def _reference_generators(pres, max_length, fixed, inverse):
 
     def coords(element):
         acc = [Polynomial.zero(ring, n)] * pres.dim
-        for w, alpha in element.terms.items():
+        for w, alpha in element.items():
             gi = generic_image(w, pres.universe, ring, cache)
             for b, q in gi.items():
                 for ell, x in enumerate(eta_evaluate(b, pres)):
@@ -110,9 +111,10 @@ def _reference_generators(pres, max_length, fixed, inverse):
     if fixed:
         section = generation_closure(pres)
         for v in pres.fixed:
-            sigma = FreeElement(ring)
+            sigma = {}
             for i, c in enumerate(v):
-                sigma = sigma.add(section.elements[i].scale(c))
+                for w, x in section.elements[i].items():
+                    ring.accumulate(sigma, w, ring.mul(c, x))
             gens.extend(q.sub(Polynomial.constant(ring, n, c))
                         for q, c in zip(coords(sigma), v))
     if inverse:
@@ -213,17 +215,51 @@ def test_ideal_leaves_no_cyclic_garbage():
                 gc.enable()
 
 
+def test_free_elements_hold_words_and_nonzero_scalars():
+    # a free-algebra element is a dict from words to nonzero scalars: no
+    # producer stores a zero coefficient
+    from conftest import CORPUS, load
+
+    def check(e):
+        assert type(e) is dict
+        assert all(type(w) is Word and c for w, c in e.items()), e
+
+    rng = random.Random(17)
+    for path in CORPUS:
+        pres = load(path.name)
+        ring, n, u = pres.ring, pres.num_gens, pres.universe
+        for e in generation_closure(pres).elements:
+            check(e)
+        values = range(ring.p) if ring.p else [Fraction(k, 2) for k in range(-3, 4)]
+        thetas = []
+        while len(thetas) < 3:
+            theta = [[rng.choice(values) for _ in range(n)] for _ in range(n)]
+            if linalg.det(ring, theta):
+                thetas.append(theta)
+        for length in (2, 3):
+            kb = kernel_basis(pres, length)
+            for a in kb.vectors:
+                check(a)
+                for b in kb.vectors:
+                    for m in pres.labels:
+                        check(m_product(ring, a, b, m, u))
+            for theta in thetas:
+                memo = {}
+                for w in kb.table.words:
+                    check(theta_tilde_word(theta, w, u, ring, memo))
+
+
 def test_kernel_basis_p0(p0):
     kb = kernel_basis(p0, 2)
     words = kb.table.words
-    assert [set(v.terms) for v in kb.vectors] == [{w} for w in words[2:]]
+    assert [set(v) for v in kb.vectors] == [{w} for w in words[2:]]
 
 
 def test_kernel_basis_p2(p2):
     kb = kernel_basis(p2, 2)
     u = p2.universe
     x, y = u.leaf(1), u.leaf(2)
-    supports = [dict(v.terms) for v in kb.vectors]
+    supports = kb.vectors
     assert supports == [
         {u.node(x, 0, x): 1, y: 2},   # x0x - y over F_3
         {u.node(x, 0, y): 1},
@@ -236,7 +272,7 @@ def test_kernel_basis_pv(pv3):
     kb = kernel_basis(pv3, 2)
     u = pv3.universe
     vac = u.leaf(1)
-    assert [dict(v.terms) for v in kb.vectors] == \
+    assert kb.vectors == \
         [{u.node(vac, -1, vac): 1, vac: 2}]
 
 
@@ -256,7 +292,7 @@ def test_kernel_vectors_evaluate_to_zero():
 def test_kernel_primitive_integer_over_q(p1):
     kb = kernel_basis(p1, 3)
     for v in kb.vectors:
-        coeffs = list(v.terms.values())
+        coeffs = list(v.values())
         assert all(c.denominator == 1 for c in coeffs)
         from math import gcd
         g = 0
@@ -426,8 +462,9 @@ def test_locus_search_matches_scan(p2q):
         systems.append(IdealSystem(n, ring, 1, False, False, True,
                                    [unit.sub(Polynomial.constant(ring, n, 1))]))
     # SL_2(F_3) and SL_3(F_3): only a generator in t cuts, so the t = 1/det
-    # check must run, on the sign and every pivot of the determinant; the
-    # inverse flag is off, as these systems do not end in t * det - 1
+    # check must run: locus_points takes linalg.det of each full matrix that
+    # reaches a generator in t, and Ring.invert of it; the inverse flag is
+    # off, as these systems do not end in t * det - 1
     for n in (2, 3):
         systems.append(IdealSystem(n, F3, 1, False, False, False,
                                    [parse_poly("1 * t + 2", F3, n)]))

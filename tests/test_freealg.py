@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 from conftest import CORPUS, load
-from autalg.freealg import (FreeElement, eta_evaluate, eta_matrix, m_product,
+from autalg.freealg import (eta_evaluate, eta_matrix, m_product,
                             structure_product)
 from autalg.rings import GF, QQ
 from autalg.words import Universe, enumerate_words
@@ -11,15 +11,15 @@ from autalg.words import Universe, enumerate_words
 def test_m_product_examples():
     u = Universe(2, [0])
     x, y = u.leaf(1), u.leaf(2)
-    ex = FreeElement(QQ, {x: QQ.one})
-    assert m_product(ex, ex, 0, u).terms == {u.node(x, 0, x): Fraction(1)}
+    ex = {x: QQ.one}
+    assert m_product(QQ, ex, ex, 0, u) == {u.node(x, 0, x): Fraction(1)}
 
-    two_x_plus_y = FreeElement(QQ, {x: Fraction(2), y: Fraction(1)})
-    prod = m_product(two_x_plus_y, ex, 0, u)
-    assert prod.terms == {u.node(x, 0, x): Fraction(2),
+    two_x_plus_y = {x: Fraction(2), y: Fraction(1)}
+    prod = m_product(QQ, two_x_plus_y, ex, 0, u)
+    assert prod == {u.node(x, 0, x): Fraction(2),
                           u.node(y, 0, x): Fraction(1)}
 
-    assert not m_product(FreeElement(QQ), ex, 0, u)
+    assert not m_product(QQ, {}, ex, 0, u)
 
 
 def test_m_product_bilinear_random():
@@ -28,17 +28,26 @@ def test_m_product_bilinear_random():
     rng = random.Random(0)
 
     def rand_elem():
-        e = FreeElement(QQ)
+        e = {}
         for w in rng.sample(table.words, 3):
-            e.add_term(w, Fraction(rng.randint(-4, 4)))
+            QQ.accumulate(e, w, Fraction(rng.randint(-4, 4)))
         return e
+
+    def scale(e, c):
+        return {w: QQ.mul(c, x) for w, x in e.items()} if c else {}
+
+    def add(a, b):
+        out = dict(a)
+        for w, c in b.items():
+            QQ.accumulate(out, w, c)
+        return out
 
     for _ in range(25):
         a, a2, b = rand_elem(), rand_elem(), rand_elem()
         alpha = Fraction(rng.randint(-3, 3))
         m = rng.choice([0, 1])
-        lhs = m_product(a.scale(alpha).add(a2), b, m, u)
-        rhs = m_product(a, b, m, u).scale(alpha).add(m_product(a2, b, m, u))
+        lhs = m_product(QQ, add(scale(a, alpha), a2), b, m, u)
+        rhs = add(scale(m_product(QQ, a, b, m, u), alpha), m_product(QQ, a2, b, m, u))
         assert lhs == rhs
 
 

@@ -18,3 +18,13 @@ def test_readme_lists_the_exports():
     listing = text[start:text.index("\n\n", start)]
     names = set(re.findall(r"`([A-Za-z_]+)`", listing))
     assert names == set(autalg.__all__)
+
+
+def test_readme_library_example_runs(monkeypatch):
+    # the README's python block runs as printed, from the repository root
+    text = README.read_text(encoding="utf-8")
+    start = text.index("```python", text.index("## Library entry points"))
+    code = text[start + len("```python"):text.index("```", start + 1)]
+    assert "autalg" in code
+    monkeypatch.chdir(README.parent)
+    exec(compile(code, str(README), "exec"), {})

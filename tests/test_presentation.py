@@ -138,8 +138,8 @@ def test_generation_closure_p1(p1):
     section = generation_closure(p1)
     u = p1.universe
     x = u.leaf(1)
-    assert section.elements[0].terms == {x: Fraction(1)}
-    assert section.elements[1].terms == {u.node(x, 0, x): Fraction(1)}
+    assert section.elements[0] == {x: Fraction(1)}
+    assert section.elements[1] == {u.node(x, 0, x): Fraction(1)}
     assert section.max_length == 2
 
 
@@ -147,7 +147,7 @@ def test_generation_closure_p0(p0):
     section = generation_closure(p0)
     assert section.max_length == 1
     for i, e in enumerate(section.elements):
-        (w, c), = e.terms.items()
+        (w, c), = e.items()
         assert w.is_leaf and w.gen == i + 1 and c == 1
 
 
@@ -182,7 +182,7 @@ def test_deep_section():
     u = pres.universe
     x = u.leaf(1)
     xx = u.node(x, 0, x)
-    assert section.elements[2].terms == {u.node(xx, 0, xx): Fraction(1)}
+    assert section.elements[2] == {u.node(xx, 0, xx): Fraction(1)}
 
 
 def test_section_dependent_word_and_fraction():
@@ -194,9 +194,9 @@ def test_section_dependent_word_and_fraction():
     u = pres.universe
     x = u.leaf(1)
     xx = u.node(x, 0, x)
-    assert section.elements[0].terms == {x: Fraction(1)}
-    assert section.elements[1].terms == {xx: Fraction(1, 2)}
-    assert section.elements[2].terms == {u.node(xx, 0, x): Fraction(1, 2)}
+    assert section.elements[0] == {x: Fraction(1)}
+    assert section.elements[1] == {xx: Fraction(1, 2)}
+    assert section.elements[2] == {u.node(xx, 0, x): Fraction(1, 2)}
 
 
 def test_base_change_examples(p2q, p0):

@@ -29,6 +29,25 @@ def test_invert_examples():
         F3.invert(0)
 
 
+@pytest.mark.parametrize("ring, a, b", [
+    (GF(2), 1, 1),
+    (F5, 2, 3),
+    (QQ, Fraction(1, 2), Fraction(-1, 2)),
+])
+def test_accumulate_never_stores_zero(ring, a, b):
+    # a + b = 0 in each row
+    acc = {}
+    ring.accumulate(acc, "k", ring.zero)   # zero onto an absent key
+    assert acc == {}
+    ring.accumulate(acc, "k", a)
+    ring.accumulate(acc, "j", a)
+    assert acc == {"k": a, "j": a}
+    ring.accumulate(acc, "k", b)           # a sum that cancels deletes its key
+    assert acc == {"j": a}
+    ring.accumulate(acc, "j", ring.zero)   # zero onto a present key
+    assert acc == {"j": a}
+
+
 def test_reduce_mod_p_examples():
     assert reduce_mod_p(Fraction(7, 2), 5) == 1
     assert reduce_mod_p(Fraction(0), 3) == 0
