@@ -237,7 +237,7 @@ def ideal_generators(pres: Presentation, max_length: int, *,
         # kernel_basis has already checked that the section fits in max_length
         section = generation_closure(pres, cap)
         for v in pres.fixed:
-            sigma: dict[Word, object] = {}
+            sigma = {}
             for c, element in zip(v, section.elements):
                 for w, x in element.items():
                     ring.accumulate(sigma, w, ring.mul(c, x))

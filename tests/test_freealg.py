@@ -17,7 +17,7 @@ def test_m_product_examples():
     two_x_plus_y = {x: Fraction(2), y: Fraction(1)}
     prod = m_product(QQ, two_x_plus_y, ex, 0, u)
     assert prod == {u.node(x, 0, x): Fraction(2),
-                          u.node(y, 0, x): Fraction(1)}
+                    u.node(y, 0, x): Fraction(1)}
 
     assert not m_product(QQ, {}, ex, 0, u)
 
