@@ -151,16 +151,19 @@ def _add_scaled(acc: dict, q: Polynomial, f) -> None:
 
 
 def _block(pres: Presentation, leaves: list[list[Polynomial]], words: list[Word],
-           elements: list[dict[Word, object]]) -> list[list[Polynomial]]:
-    """Coordinates in the presented algebra of the image of each element
-    under the endomorphism sending generator j to sum_i leaves[i][j] * x_i.
+           elements: list[dict[Word, object]]):
+    """Yield, for each element in turn, the coordinates in the presented
+    algebra of its image under the endomorphism sending generator j to
+    sum_i leaves[i][j] * x_i.
 
     psi(w), the coordinates of the image of a word w, is built for each of
     ``words`` in turn, which must list every subword before its word and
     cover the support of every element: a leaf is a column of ``leaves``,
     and psi(w1 <m> w2) is the m-product of psi(w1) and psi(w2) through the
     structure constants.  The coordinates of an element are then
-    sum_w alpha_w psi(w).
+    sum_w alpha_w psi(w).  Each monomial is stored as one tuple per call,
+    shared by every psi(w) and every coordinate that has it, and the psi
+    memo is freed once the last element has been yielded.
 
     The coefficients are ints: each structure constant s enters as s * D,
     with D the lcm of their denominators (1 over F_p), and the leaves must
@@ -168,13 +171,15 @@ def _block(pres: Presentation, leaves: list[list[Polynomial]], words: list[Word]
     element sum_w alpha_w w, with A the lcm of the denominators of alpha and
     ``top`` its longest word, sums (alpha_w A) D^(top-|w|) psi(w), which is
     A D^(top-1) times its coordinates; over the rationals each coefficient
-    is then divided once, one ``Fraction`` per numerator.
+    is then divided once, one ``Fraction`` per numerator and denominator in
+    the whole call.
     """
     ring, n = pres.ring, pres.num_gens
     scale = math.lcm(*(s.denominator for table in pres._products.values()
                        for _, _, vec in table for _, s in vec))
     consts = {m: [(i, j, [(k, int(s * scale)) for k, s in vec]) for i, j, vec in table]
               for m, table in pres._products.items()}
+    canon: dict[tuple, tuple] = {}
     psi: dict[Word, list[Polynomial]] = {}
     for w in words:
         acc: list[dict] = [{} for _ in range(pres.dim)]
@@ -190,8 +195,11 @@ def _block(pres: Presentation, leaves: list[list[Polynomial]], words: list[Word]
                     prod = left[i].mul(right[j])
                     for k, s in vec:
                         _add_scaled(acc[k], prod, s)
-        psi[w] = [Polynomial(ring, n, terms) for terms in acc]
-    out = []
+        psi[w] = [Polynomial(ring, n, {canon.setdefault(mono, mono): c
+                                       for mono, c in terms.items()} if terms else terms)
+                  for terms in acc]
+    del canon
+    quotients: dict[int, dict[int, Fraction]] = {}
     for element in elements:
         factors = element.items()
         if ring.p is None:
@@ -205,29 +213,20 @@ def _block(pres: Presentation, leaves: list[list[Polynomial]], words: list[Word]
                 _add_scaled(terms, q, f)
         if ring.p is None:
             denom *= scale ** (top - 1)
-            quotients: dict[int, Fraction] = {}
+            fractions = quotients.setdefault(denom, {})
             for terms in acc:
                 for mono, c in terms.items():
-                    q = quotients.get(c)
+                    q = fractions.get(c)
                     if q is None:
-                        q = quotients[c] = Fraction(c, denom)
+                        q = fractions[c] = Fraction(c, denom)
                     terms[mono] = q
-        out.append([Polynomial(ring, n, terms) for terms in acc])
-    return out
+        yield [Polynomial(ring, n, terms) for terms in acc]
 
 
-def ideal_generators(pres: Presentation, max_length: int, *,
-                     graded: bool = False, fixed: bool = False,
-                     inverse: bool = True,
-                     cap: int = DEFAULT_WORD_CAP) -> IdealSystem:
-    """Assemble the defining equations of the automorphism locus.
-
-    Block order: kernel-preservation conditions (kernel vectors in canonical
-    order, coordinates in basis order), then graded entry conditions, then
-    fixed-vector conditions, then the kernel conditions composed with
-    t * adj(theta) followed by t * det(theta) - 1.  Exact zeros and
-    duplicates are dropped; nothing else is minimized.
-    """
+def _conditions(pres: Presentation, max_length: int, graded: bool, fixed: bool,
+                inverse: bool, cap: int):
+    """Yield the generators of ``ideal_generators`` in block order, zeros and
+    duplicates included, each block's coordinates as ``_block`` yields them."""
     ring, n = pres.ring, pres.num_gens
     kb = kernel_basis(pres, max_length, cap)
     if graded and pres.degrees is None:
@@ -245,39 +244,62 @@ def ideal_generators(pres: Presentation, max_length: int, *,
     words = kb.table.words
     gm = generic_matrix(ring, n)
     forward = _block(pres, gm, words, kb.vectors + sigmas)
-    k = len(kb.vectors)
-    gens = [q for coords in forward[:k] for q in coords]
+    for coords in itertools.islice(forward, len(kb.vectors)):
+        yield from coords
 
     if graded:
         gd = pres.gen_degrees
         for i in range(n):
             for j in range(n):
                 if gd[i] != gd[j]:
-                    gens.append(Polynomial.variable(ring, n, i + 1, j + 1))
+                    yield Polynomial.variable(ring, n, i + 1, j + 1)
 
-    for v, coords in zip(pres.fixed if fixed else (), forward[k:]):
+    for v, coords in zip(pres.fixed if fixed else (), forward):
         for ell, c in enumerate(v):
-            gens.append(coords[ell].sub(Polynomial.constant(ring, n, c)))
+            yield coords[ell].sub(Polynomial.constant(ring, n, c))
+    # frees the forward psi before the inverse block builds its own
+    forward.close()
 
     if inverse:
         t = Polynomial.t_var(ring, n)
         inv_leaves = [[t.mul(a) for a in row] for row in adjugate(gm)]
         for coords in _block(pres, inv_leaves, words, kb.vectors):
-            gens.extend(coords)
+            yield from coords
         # t * det(X) - 1, which vanishes exactly when t = 1/det(X)
-        gens.append(t.mul(poly_determinant(gm)).sub(Polynomial.constant(ring, n, ring.one)))
+        yield t.mul(poly_determinant(gm)).sub(Polynomial.constant(ring, n, ring.one))
 
-    seen = set()
-    unique = []
-    for g in gens:
+
+def ideal_generators(pres: Presentation, max_length: int, *,
+                     graded: bool = False, fixed: bool = False,
+                     inverse: bool = True,
+                     cap: int = DEFAULT_WORD_CAP) -> IdealSystem:
+    """Assemble the defining equations of the automorphism locus.
+
+    Block order: kernel-preservation conditions (kernel vectors in canonical
+    order, coordinates in basis order), then graded entry conditions, then
+    fixed-vector conditions, then the kernel conditions composed with
+    t * adj(theta) followed by t * det(theta) - 1.  Exact zeros and
+    duplicates are dropped as the blocks yield them, so a dropped generator
+    is freed at once: a generator is kept unless an earlier kept one has the
+    same hash of ``key()`` and the same terms, and no key is stored.
+    Nothing else is minimized.
+    """
+    unique: list[Polynomial] = []
+    by_hash: dict[int, list[Polynomial]] = {}
+    for g in _conditions(pres, max_length, graded, fixed, inverse, cap):
         if not g:
             continue
-        key = g.key()
-        if key in seen:
+        h = hash(g.key())
+        same = by_hash.get(h)
+        if same is None:
+            by_hash[h] = [g]
+        elif any(g.terms == kept.terms for kept in same):
             continue
-        seen.add(key)
+        else:
+            same.append(g)
         unique.append(g)
-    return IdealSystem(n, ring, max_length, graded, fixed, inverse, unique)
+    return IdealSystem(pres.num_gens, pres.ring, max_length, graded, fixed,
+                       inverse, unique)
 
 
 # -- point membership ----------------------------------------------------------
@@ -286,7 +308,7 @@ def ideal_generators(pres: Presentation, max_length: int, *,
 def check_point(system: IdealSystem, theta: list[list]) -> bool:
     """True iff theta is invertible and every generator vanishes at theta
     (with t bound to 1/det(theta))."""
-    ring, n = system.ring, system.n
+    ring = system.ring
     d = linalg.det(ring, theta)
     if not d:
         return False
