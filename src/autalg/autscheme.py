@@ -26,7 +26,7 @@ from .errors import BudgetExceeded, GradingViolation, TruncationTooShort
 from .freealg import eta_matrix, m_product
 from .poly import Polynomial, adjugate, generic_matrix
 from .poly import determinant as poly_determinant
-from .presentation import Presentation, generation_closure
+from .presentation import Presentation, SectionData, generation_closure
 from .rings import Ring
 from .words import DEFAULT_WORD_CAP, Universe, Word, WordTable
 
@@ -86,10 +86,12 @@ def theta_tilde_word(theta: list[list], w: Word, universe: Universe,
 
 @dataclass
 class KernelBasis:
-    """Reduced-echelon basis of the truncated kernel of the evaluation map."""
+    """Reduced-echelon basis of the truncated kernel of the evaluation map,
+    and the section of ``generation_closure``, checked to fit the truncation."""
 
     vectors: list[dict[Word, object]]
     table: WordTable
+    section: SectionData
 
 
 def kernel_basis(pres: Presentation, max_length: int,
@@ -118,7 +120,7 @@ def kernel_basis(pres: Presentation, max_length: int,
             coeffs = linalg.primitive_integer(coeffs)
         support = [words[pivots[r]] for r in hits] + [words[c]]
         vectors.append(dict(zip(support, coeffs)))
-    return KernelBasis(vectors, table)
+    return KernelBasis(vectors, table, section)
 
 
 @dataclass
@@ -223,52 +225,6 @@ def _block(pres: Presentation, leaves: list[list[Polynomial]], words: list[Word]
         yield [Polynomial(ring, n, terms) for terms in acc]
 
 
-def _conditions(pres: Presentation, max_length: int, graded: bool, fixed: bool,
-                inverse: bool, cap: int):
-    """Yield the generators of ``ideal_generators`` in block order, zeros and
-    duplicates included, each block's coordinates as ``_block`` yields them."""
-    ring, n = pres.ring, pres.num_gens
-    kb = kernel_basis(pres, max_length, cap)
-    if graded and pres.degrees is None:
-        raise GradingViolation("graded option requires a graded presentation")
-    sigmas = []
-    if fixed:
-        # kernel_basis has already checked that the section fits in max_length
-        section = generation_closure(pres, cap)
-        for v in pres.fixed:
-            sigma = {}
-            for c, element in zip(v, section.elements):
-                for w, x in element.items():
-                    ring.accumulate(sigma, w, ring.mul(c, x))
-            sigmas.append(sigma)
-    words = kb.table.words
-    gm = generic_matrix(ring, n)
-    forward = _block(pres, gm, words, kb.vectors + sigmas)
-    for coords in itertools.islice(forward, len(kb.vectors)):
-        yield from coords
-
-    if graded:
-        gd = pres.gen_degrees
-        for i in range(n):
-            for j in range(n):
-                if gd[i] != gd[j]:
-                    yield Polynomial.variable(ring, n, i + 1, j + 1)
-
-    for v, coords in zip(pres.fixed if fixed else (), forward):
-        for ell, c in enumerate(v):
-            yield coords[ell].sub(Polynomial.constant(ring, n, c))
-    # frees the forward psi before the inverse block builds its own
-    forward.close()
-
-    if inverse:
-        t = Polynomial.t_var(ring, n)
-        inv_leaves = [[t.mul(a) for a in row] for row in adjugate(gm)]
-        for coords in _block(pres, inv_leaves, words, kb.vectors):
-            yield from coords
-        # t * det(X) - 1, which vanishes exactly when t = 1/det(X)
-        yield t.mul(poly_determinant(gm)).sub(Polynomial.constant(ring, n, ring.one))
-
-
 def ideal_generators(pres: Presentation, max_length: int, *,
                      graded: bool = False, fixed: bool = False,
                      inverse: bool = True,
@@ -276,30 +232,61 @@ def ideal_generators(pres: Presentation, max_length: int, *,
     """Assemble the defining equations of the automorphism locus.
 
     Block order: kernel-preservation conditions (kernel vectors in canonical
-    order, coordinates in basis order), then graded entry conditions, then
-    fixed-vector conditions, then the kernel conditions composed with
-    t * adj(theta) followed by t * det(theta) - 1.  Exact zeros and
-    duplicates are dropped as the blocks yield them, so a dropped generator
-    is freed at once: a generator is kept unless an earlier kept one has the
-    same hash of ``key()`` and the same terms, and no key is stored.
-    Nothing else is minimized.
+    order, coordinates in basis order, as ``_block`` yields them), then
+    graded entry conditions, then fixed-vector conditions, then the kernel
+    conditions composed with t * adj(theta) followed by t * det(theta) - 1.
+    Every block feeds one dedup, which drops exact zeros and duplicates as
+    they come, so a dropped generator is freed at once: a generator is kept
+    unless an earlier kept one has the same hash of ``key()`` and the same
+    terms, and no key is stored.  Nothing else is minimized.
     """
+    ring, n = pres.ring, pres.num_gens
+    kb = kernel_basis(pres, max_length, cap)
+    if graded and pres.degrees is None:
+        raise GradingViolation("graded option requires a graded presentation")
     unique: list[Polynomial] = []
     by_hash: dict[int, list[Polynomial]] = {}
-    for g in _conditions(pres, max_length, graded, fixed, inverse, cap):
-        if not g:
-            continue
-        h = hash(g.key())
-        same = by_hash.get(h)
-        if same is None:
-            by_hash[h] = [g]
-        elif any(g.terms == kept.terms for kept in same):
-            continue
-        else:
-            same.append(g)
-        unique.append(g)
-    return IdealSystem(pres.num_gens, pres.ring, max_length, graded, fixed,
-                       inverse, unique)
+
+    def keep(gens) -> None:
+        for g in gens:
+            if g:
+                same = by_hash.setdefault(hash(g.key()), [])
+                if all(g.terms != kept.terms for kept in same):
+                    same.append(g)
+                    unique.append(g)
+
+    sigmas = []
+    for v in pres.fixed if fixed else ():
+        sigma = {}
+        for c, element in zip(v, kb.section.elements):
+            for w, x in element.items():
+                ring.accumulate(sigma, w, ring.mul(c, x))
+        sigmas.append(sigma)
+    words = kb.table.words
+    gm = generic_matrix(ring, n)
+    forward = _block(pres, gm, words, kb.vectors + sigmas)
+    for coords in itertools.islice(forward, len(kb.vectors)):
+        keep(coords)
+    # drawing the few fixed-vector coordinates ends the block, which frees
+    # the forward psi before the inverse block builds its own
+    fixed_coords = list(forward)
+
+    if graded:
+        gd = pres.gen_degrees
+        keep(Polynomial.variable(ring, n, i + 1, j + 1)
+             for i in range(n) for j in range(n) if gd[i] != gd[j])
+
+    for v, coords in zip(pres.fixed, fixed_coords):
+        keep(q.sub(Polynomial.constant(ring, n, c)) for q, c in zip(coords, v))
+
+    if inverse:
+        t = Polynomial.t_var(ring, n)
+        inv_leaves = [[t.mul(a) for a in row] for row in adjugate(gm)]
+        for coords in _block(pres, inv_leaves, words, kb.vectors):
+            keep(coords)
+        # t * det(X) - 1, which vanishes exactly when t = 1/det(X)
+        keep([t.mul(poly_determinant(gm)).sub(Polynomial.constant(ring, n, ring.one))])
+    return IdealSystem(n, ring, max_length, graded, fixed, inverse, unique)
 
 
 # -- point membership ----------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success (and `check` true), 1 `check` false, 2 input or
 validation error, 3 comparison mismatch, 4 budget or limit exceeded or
-memory exhausted.
+memory exhausted, 141 stdout closed by its reader (128 + SIGPIPE).
 Results go to stdout, diagnostics to stderr; output is byte-deterministic
 for fixed input and flags.
 """
@@ -10,6 +10,7 @@ for fixed input and flags.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .autscheme import check_point, ideal_generators
@@ -81,6 +82,13 @@ def _run(args) -> int:
             print(format_matrix(g))
         return 0
 
+    if args.command == "check":
+        # a malformed point fails before the ideal is built
+        try:
+            point = parse_matrix(args.point, pres.num_gens, pres.ring)
+        except ValueError as exc:
+            raise ValueError(f"bad --point literal: {exc}") from None
+
     # on GL_N the forward block implies the inverse one: only `ideal` prints it
     system = ideal_generators(pres, args.max_length, graded=args.graded,
                               fixed=args.fixed, cap=args.word_cap,
@@ -93,10 +101,6 @@ def _run(args) -> int:
         return 0
 
     if args.command == "check":
-        try:
-            point = parse_matrix(args.point, system.n, pres.ring)
-        except ValueError as exc:
-            raise ValueError(f"bad --point literal: {exc}") from None
         ok = check_point(system, point)
         print("true" if ok else "false")
         return 0 if ok else 1
@@ -118,7 +122,14 @@ def _run(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _run(args)
+        code = _run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone: what is still buffered goes to devnull, so
+        # that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (LimitExceeded, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

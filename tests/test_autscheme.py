@@ -172,6 +172,26 @@ def test_ideal_matches_reference_paths():
                 _reference_generators(pres, 3, fixed, inverse)
 
 
+def test_fixed_block_runs_the_closure_once(monkeypatch):
+    # the fixed-vector block reads the section that kernel_basis computed
+    from conftest import load
+    calls = []
+
+    def counted(pres, *args, **kwargs):
+        calls.append(pres)
+        return generation_closure(pres, *args, **kwargs)
+
+    monkeypatch.setattr("autalg.autscheme.generation_closure", counted)
+    for name in ("p3_q.malg", "pv_f3.malg", "pv_f5.malg"):
+        pres = load(name)
+        assert pres.fixed
+        calls.clear()
+        ideal_generators(pres, 3, fixed=True)
+        assert calls == [pres], name
+        assert kernel_basis(pres, 3).section.elements == \
+            generation_closure(pres).elements
+
+
 def test_rational_coefficients_are_fractions():
     # ints scale the recursion inside ideal_generators; none may leak out
     from conftest import CORPUS, load

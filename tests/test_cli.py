@@ -1,5 +1,10 @@
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
+import autalg
 from conftest import CORPUS, DATA, load
 from autalg.autscheme import ideal_generators
 from autalg.cli import main
@@ -91,6 +96,35 @@ def test_input_errors(capsys):
     assert code == 2 and "bad --point" in err
     code, out, err = run(capsys, "oracle", "--input", P2, "--graded")
     assert code == 2 and not out and "GradingViolation" in err
+
+
+def test_bad_point_fails_before_the_ideal(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ideal_generators ran before --point was parsed")
+
+    monkeypatch.setattr("autalg.cli.ideal_generators", unreachable)
+    code, out, err = run(capsys, "check", "--input", P2, "--max-length", "2",
+                         "--point", "1,2;3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad --point literal") and err.count("\n") == 1
+
+
+def test_closed_stdout_exits_141():
+    # a reader that has gone is not an input error: exit 128 + SIGPIPE, as a
+    # shell reports for a command ended by `| head`, with nothing on stderr
+    src = str(pathlib.Path(autalg.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "autalg.cli", "ideal", "--input", P2,
+             "--max-length", "2"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_input_error_classes(capsys, tmp_path):
