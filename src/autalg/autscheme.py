@@ -4,14 +4,14 @@ A matrix L sends generator j of the free algebra to sum_i L_ij x_i, and the
 image of a word w1 <m> w2 is the m-product of the images of w1 and w2,
 evaluated in the presented algebra through the structure constants.  With L
 the generic matrix X, the coordinates of the images of the truncated kernel
-vectors of the evaluation map cut the automorphism locus out of GL_N,
-optionally restricted to graded automorphisms or to automorphisms fixing
-distinguished vectors.  The inverse conditions are the same coordinates with
-L = t * adj(X), the inverse of X once t * det(X) = 1.  ``generic_image`` and
-``theta_tilde_word`` compute the same images by independent routes, as
-references for the tests.  Over a prime field, ``locus_points`` finds the
-points of the locus by a depth-first search over the matrix entries, and
-``check_point`` tests one point against every generator.
+vectors w - sigma(eta(w)) of the evaluation map eta, sigma its section, cut
+the automorphism locus out of GL_N, optionally restricted to graded
+automorphisms or to automorphisms fixing distinguished vectors.  The inverse
+conditions are the same coordinates with L = t * adj(X), the inverse of X
+once t * det(X) = 1.  ``generic_image`` and ``theta_tilde_word`` compute the
+same images by independent routes, as test references.  Over a prime field,
+``locus_points`` finds the locus points by a depth-first search over the
+matrix entries, and ``check_point`` tests one point against every generator.
 """
 
 from __future__ import annotations
@@ -23,12 +23,12 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import BudgetExceeded, GradingViolation, TruncationTooShort
-from .freealg import eta_matrix, m_product
+from .freealg import eta_evaluate, m_product
 from .poly import Polynomial, adjugate, generic_matrix
 from .poly import determinant as poly_determinant
 from .presentation import Presentation, SectionData, generation_closure
 from .rings import Ring
-from .words import DEFAULT_WORD_CAP, Universe, Word, WordTable
+from .words import DEFAULT_WORD_CAP, Universe, Word, WordTable, enumerate_words
 
 DEFAULT_BUDGET = 10**8
 
@@ -96,30 +96,33 @@ class KernelBasis:
 
 def kernel_basis(pres: Presentation, max_length: int,
                  cap: int = DEFAULT_WORD_CAP) -> KernelBasis:
-    """Truncated kernel of the evaluation map, reduced echelon in canonical
-    column order; over the rationals, vectors are rescaled to primitive
-    integer form."""
+    """Truncated kernel of the evaluation map eta: one vector w - sigma(eta(w))
+    per word w of the table outside the section sigma of ``generation_closure``,
+    in canonical order, section words (eta's pivots, so reduced echelon) first;
+    over the rationals, vectors are rescaled to primitive integer form."""
     section = generation_closure(pres, cap)
     if section.max_length > max_length:
         raise TruncationTooShort(
             f"generation needs words of length {section.max_length}, "
             f"truncation is {max_length}")
     ring = pres.ring
-    rows, table = eta_matrix(pres, max_length, cap)
-    red, pivots = linalg.rref(ring, rows)
-    pivot_set = set(pivots)
-    words = table.words
+    table = enumerate_words(pres.universe, max_length, cap)
+    in_section = set().union(*section.elements)
+    # canonical order from the table: a set of words iterates by identity
+    pivots = [u for u in table.words if u in in_section]
     vectors = []
-    for c in range(len(words)):
-        if c in pivot_set:
+    for w in table.words:
+        if w in in_section:
             continue
-        # each pivot column with an entry in column c lies left of c
-        hits = [r for r in range(len(pivots)) if red[r][c]]
-        coeffs = [ring.neg(red[r][c]) for r in hits] + [ring.one]
+        sigma: dict[Word, object] = {}
+        for x, element in zip(eta_evaluate(w, pres), section.elements):
+            for u, y in element.items() if x else ():
+                ring.accumulate(sigma, u, ring.mul(x, y))
+        support = [u for u in pivots if u in sigma]
+        coeffs = [ring.neg(sigma[u]) for u in support] + [ring.one]
         if ring.p is None:
             coeffs = linalg.primitive_integer(coeffs)
-        support = [words[pivots[r]] for r in hits] + [words[c]]
-        vectors.append(dict(zip(support, coeffs)))
+        vectors.append(dict(zip(support + [w], coeffs)))
     return KernelBasis(vectors, table, section)
 
 

@@ -44,15 +44,12 @@ def format_matrix(mat: tuple | list) -> str:
 
 
 def parse_matrix(text: str, n: int, ring) -> list[list]:
-    rows = [r for r in text.strip().split(";") if r.strip()]
+    rows = text.strip().split(";")
     if len(rows) != n:
         raise ValueError(f"expected {n} rows, got {len(rows)}")
-    out = []
-    for r in rows:
-        entries = [ring.parse(x) for x in r.split(",")]
-        if len(entries) != n:
-            raise ValueError(f"expected {n} entries per row")
-        out.append(entries)
+    out = [[ring.parse(x) for x in r.split(",")] for r in rows]
+    if any(len(r) != n for r in out):
+        raise ValueError(f"expected {n} entries per row")
     return out
 
 

@@ -11,7 +11,7 @@ from autalg.autscheme import (IdealSystem, check_point, generic_image,
                               theta_tilde_word)
 from autalg.errors import (BudgetExceeded, GradingViolation,
                            TruncationTooShort)
-from autalg.freealg import eta_element, eta_evaluate, m_product
+from autalg.freealg import eta_element, eta_evaluate, eta_matrix, m_product
 from autalg.poly import (Polynomial, adjugate, determinant, format_poly,
                          generic_matrix, parse_poly)
 from autalg.presentation import base_change, generation_closure, parse
@@ -382,6 +382,81 @@ def test_truncation_too_short():
                  "mul 0 x x = 1*y\nmul 0 y y = 1*z\n")
     with pytest.raises(TruncationTooShort):
         kernel_basis(pres, 3)
+
+
+def _rref_kernel(pres, max_length):
+    """The truncated kernel read off a second elimination, over the whole
+    eta matrix at max_length: the reduced echelon basis of its kernel, with
+    the pivot entries of each free column negated.  A reference for
+    kernel_basis, which reads the same vectors off the section."""
+    ring = pres.ring
+    rows, table = eta_matrix(pres, max_length)
+    red, pivots = linalg.rref(ring, rows)
+    if len(pivots) < pres.dim:
+        raise TruncationTooShort(f"eta has rank {len(pivots)} at {max_length}")
+    words = table.words
+    vectors = []
+    for c in range(len(words)):
+        if c in pivots:
+            continue
+        hits = [r for r in range(len(pivots)) if red[r][c]]
+        coeffs = [ring.neg(red[r][c]) for r in hits] + [ring.one]
+        if ring.p is None:
+            coeffs = linalg.primitive_integer(coeffs)
+        vectors.append(dict(zip([words[pivots[r]] for r in hits] + [words[c]],
+                                coeffs)))
+    return vectors
+
+
+def test_kernel_basis_matches_rref_reference(monkeypatch):
+    # w - sigma(eta(w)) is the reduced echelon basis of the kernel, item for
+    # item, and no eta matrix past the section's length is built for it
+    from conftest import CORPUS, load
+    from test_acceptance import _random_presentation
+    from test_stable_length import _one_generator_dropped
+    from autalg import autscheme, freealg, presentation
+    rng = random.Random(20260823)  # the acceptance-6 family, first ten
+    family = [_random_presentation(rng) for _ in range(10)]
+    # drops give s = 2, where sigma(eta(w)) can meet the section words out
+    # of canonical order
+    family += [smaller for pres in family[:6]
+               for smaller in _one_generator_dropped(pres)]
+    rng = random.Random(8)
+    rational = [_rational_presentation(rng, dim) for dim in (2, 3) * 4]
+    cases = [(path.name, load(path.name), length) for path in CORPUS
+             for length in (1, 2, 3, 4)]
+    cases += [("family", pres, length) for pres in family for length in (3, 4)]
+    cases += [("rational", pres, 3) for pres in rational]
+    cases.append(("dense", parse(_dense_f3_text(random.Random(3))), 4))
+
+    lengths = []
+    orig = freealg.eta_matrix
+
+    def wrapped(pres, max_length, *args, **kwargs):
+        lengths.append(max_length)
+        return orig(pres, max_length, *args, **kwargs)
+
+    for mod in (freealg, presentation, autscheme):
+        if getattr(mod, "eta_matrix", None) is orig:
+            monkeypatch.setattr(mod, "eta_matrix", wrapped)
+    too_short = []
+    for name, pres, length in cases:
+        lengths.clear()
+        try:
+            got = kernel_basis(pres, length)
+        except TruncationTooShort:
+            too_short.append((name, length))
+            with pytest.raises(TruncationTooShort):
+                _rref_kernel(pres, length)
+            continue
+        s = got.section.max_length
+        assert lengths and max(lengths) <= s, (name, length, lengths, s)
+        want = _rref_kernel(pres, length)
+        assert [list(v.items()) for v in got.vectors] == \
+            [list(v.items()) for v in want], (name, length)
+        assert [list(map(type, v.values())) for v in got.vectors] == \
+            [list(map(type, v.values())) for v in want], (name, length)
+    assert too_short == [("p1_q.malg", 1), ("p3_f5.malg", 1), ("p3_q.malg", 1)]
 
 
 def test_ideal_p0_trivial(p0):

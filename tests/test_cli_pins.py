@@ -6,7 +6,10 @@ recorded before the section search moved onto ``linalg.rref``, those of
 ``p3_q.malg`` (structure constants with denominators 2 and 3) before the
 structure-constant recursion over Q moved onto ints, so any change in the
 text of ``ideal``, ``compare``, ``enumerate`` or ``oracle`` shows up here as
-a named run.
+a named run.  Where the section needs words of length s = 2, the runs at
+L = 2s are pinned too: there the kernel vectors w - sigma(eta(w)) reach
+section words of length 2.  Those literals were recorded while the kernel
+was still read off a second elimination over the eta matrix at L.
 """
 
 import contextlib
@@ -15,6 +18,7 @@ import io
 
 from conftest import CORPUS, DATA, load
 from autalg.cli import main
+from autalg.presentation import generation_closure
 
 
 def pin_runs():
@@ -33,6 +37,12 @@ def pin_runs():
         yield path.name, ["enumerate", "--max-length", "3"]
         yield path.name, ["oracle"]
         yield path.name, ["compare", "--max-length", "2", "--budget", "1"]
+        stable = 2 * generation_closure(pres).max_length
+        if stable > 3:
+            for mode in modes:
+                yield path.name, ["ideal", "--max-length", str(stable), *mode]
+            if pres.ring.p is not None:
+                yield path.name, ["compare", "--max-length", str(stable)]
 
 
 def run_pin(name, argv):
@@ -66,6 +76,8 @@ CLI_PINS = {
     ("p1_q.malg", "enumerate --max-length 3"): (0, "04195009323ee69a1ada2b64dd1e815ba51d155968ab5f1e6013b4f9699ae833"),
     ("p1_q.malg", "oracle"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("p1_q.malg", "compare --max-length 2 --budget 1"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("p1_q.malg", "ideal --max-length 4"): (0, "d62af631d71ce28334d34ddca462795786e73e7086a35099c325c66249935832"),
+    ("p1_q.malg", "ideal --max-length 4 --no-inverse"): (0, "5cd180fc7a04d0d58df7b6b051c04d59b0e56177985ff4ec447f959839a80b8c"),
     ("p2_f3.malg", "ideal --max-length 2"): (0, "4734f62b42223b7ed4aeba2de4605c6b393f06791196e9456f66b47624d1741a"),
     ("p2_f3.malg", "ideal --max-length 2 --no-inverse"): (0, "e64bf3e10d5c346505c7cb8a42b935d09975425174682f8adb1ccb9655a3e577"),
     ("p2_f3.malg", "ideal --max-length 3"): (0, "f4f5570a7ded171e94c199b0e10a9ea98157aee523029a0ed7ea4e5f1657712e"),
@@ -118,6 +130,9 @@ CLI_PINS = {
     ("p3_q.malg", "enumerate --max-length 3"): (0, "03f7e4b7824eb2120abd491093cffad96e403526c20d3cc9a39b8014f47de7c1"),
     ("p3_q.malg", "oracle"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("p3_q.malg", "compare --max-length 2 --budget 1"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("p3_q.malg", "ideal --max-length 4"): (0, "fcb6633af3c64ff06d0b297e953100697dc1773ae31c4e8f51a5d67799aba8c4"),
+    ("p3_q.malg", "ideal --max-length 4 --no-inverse"): (0, "781c1395d8a3ecda32e8b9d98f7042ab42d5e43a93be4692145626c35cdb38c1"),
+    ("p3_q.malg", "ideal --max-length 4 --fixed"): (0, "81bbaac8bd371b6d15c7f2340872d867d937984bdcdbd80bf4367ee6ff6506ea"),
     ("p3_f5.malg", "ideal --max-length 2"): (0, "0cee40067af62893e937c736c6f1512218bb2bc2f28fefb7673c3f67669f2f90"),
     ("p3_f5.malg", "ideal --max-length 2 --no-inverse"): (0, "510a63da727861f74ee7a9d5573d33dee17376e23b66a72f1a939b4da83545f8"),
     ("p3_f5.malg", "ideal --max-length 3"): (0, "2ad202443af4b6be0d40486578fd578d9e7f8eb70bdb81ab2a976d9f456c81b0"),
@@ -129,6 +144,9 @@ CLI_PINS = {
     ("p3_f5.malg", "enumerate --max-length 3"): (0, "04195009323ee69a1ada2b64dd1e815ba51d155968ab5f1e6013b4f9699ae833"),
     ("p3_f5.malg", "oracle"): (0, "b52a76aa2dbfd28d059815dfcecb17987300a38c4e2df64ccf00aa1a59d8dd15"),
     ("p3_f5.malg", "compare --max-length 2 --budget 1"): (4, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("p3_f5.malg", "ideal --max-length 4"): (0, "a80a86f4c7b5357327aad8027d244396950d0ea6a1276a8637e57c3bd75ec031"),
+    ("p3_f5.malg", "ideal --max-length 4 --no-inverse"): (0, "d20fe82319314de7c70dabbd2d3666b4f72ad47b6309d98198dddb3026d0da5b"),
+    ("p3_f5.malg", "compare --max-length 4"): (0, "a4bca29cfd7109702558ab267146578e7b0fc3b478d27a7c250e0e738afa27b9"),
     ("pv_f3.malg", "ideal --max-length 2"): (0, "c9b1baf91816ba0335e7ed80f643bce4ec408cd07b4eadfe910c9e7041348c88"),
     ("pv_f3.malg", "ideal --max-length 2 --no-inverse"): (0, "bee7c6d12f24c16a856436e058b408eb75e67dc316a26e1a6100a258c39bfb82"),
     ("pv_f3.malg", "ideal --max-length 2 --graded"): (0, "e1f1056214438b866c0cedb46565bfbb7f80b7a382679db7d92369f6b8658367"),

@@ -407,3 +407,7 @@ def test_matrix_text_roundtrip():
         parse_matrix("1,2;3", 2, f5)
     with pytest.raises(ValueError):
         parse_matrix("1,2", 2, f5)
+    # an empty row is a malformed literal, not a row to skip
+    for bad in ("1,2;;3,4", "1,2;3,4;"):
+        with pytest.raises(ValueError):
+            parse_matrix(bad, 2, f5)
