@@ -45,7 +45,9 @@ def _one_generator_dropped(pres):
     lines = format_presentation(pres).splitlines()
     at = next(k for k, line in enumerate(lines) if line.startswith("generators "))
     names = lines[at].split()[1:]
-    for drop in range(len(names) if len(names) > 1 else 0):
+    if len(names) < 2:
+        return
+    for drop in range(len(names)):
         lines[at] = " ".join(["generators", *names[:drop], *names[drop + 1:]])
         smaller = parse("\n".join(lines) + "\n")
         try:
