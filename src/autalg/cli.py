@@ -4,7 +4,9 @@ Exit codes: 0 success (and `check` true), 1 `check` false, 2 input or
 validation error, 3 comparison mismatch, 4 budget or limit exceeded or
 memory exhausted, 141 stdout closed by its reader (128 + SIGPIPE).
 Results go to stdout, diagnostics to stderr; output is byte-deterministic
-for fixed input and flags.
+for fixed input and flags.  `check` and `compare` build the ideal at
+min(L, 2s), s the length of the longest section word: from 2s on the ideal
+does not change, so neither do their verdicts; `--word-cap` is judged at L.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from .errors import AutalgError, BudgetExceeded, LimitExceeded
 from .oracle import (DEFAULT_BUDGET, compare_locus, enumerate_automorphisms,
                      format_matrix, parse_matrix)
 from .poly import format_poly
-from .presentation import parse_file
-from .words import DEFAULT_WORD_CAP, enumerate_words, format_word
+from .presentation import generation_closure, parse_file
+from .words import DEFAULT_WORD_CAP, count_words, enumerate_words, format_word
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -66,6 +68,9 @@ def _run(args) -> int:
     pres = parse_file(args.input)
     if args.command != "oracle" and args.max_length < 1:
         raise ValueError("--max-length must be >= 1")
+    for name in ("word_cap", "budget", "workers"):
+        if getattr(args, name, 1) < 1:
+            raise ValueError(f"--{name.replace('_', '-')} must be >= 1")
 
     if args.command == "enumerate":
         table = enumerate_words(pres.universe, args.max_length, args.word_cap)
@@ -89,8 +94,18 @@ def _run(args) -> int:
         except ValueError as exc:
             raise ValueError(f"bad --point literal: {exc}") from None
 
+    length = args.max_length
+    if args.command != "ideal":
+        # the ideal at L >= 2s is the ideal at 2s, and a verdict reads only
+        # its zeros; the word cap still holds at L, and below L = s
+        # ideal_generators raises TruncationTooShort
+        stable = 2 * generation_closure(pres, args.word_cap).max_length
+        if length > stable:
+            count_words(pres.universe, length, args.word_cap)
+            length = stable
+
     # on GL_N the forward block implies the inverse one: only `ideal` prints it
-    system = ideal_generators(pres, args.max_length, graded=args.graded,
+    system = ideal_generators(pres, length, graded=args.graded,
                               fixed=args.fixed, cap=args.word_cap,
                               inverse=args.command == "ideal" and not args.no_inverse)
 

@@ -76,23 +76,35 @@ class WordTable:
         return [w for lvl in self.by_length for w in lvl]
 
 
+def count_words(universe: Universe, max_length: int,
+                cap: int = DEFAULT_WORD_CAP) -> list[int]:
+    """Number of words of each length 1..max_length, without building any;
+    raises ``LimitExceeded`` at the first length where the running total
+    exceeds ``cap``."""
+    if max_length < 1:
+        raise ValueError("max_length must be >= 1")
+    counts: list[int] = []
+    total = 0
+    for k in range(1, max_length + 1):
+        count = universe.num_gens if k == 1 else len(universe.labels) * sum(
+            counts[j - 1] * counts[k - j - 1] for j in range(1, k))
+        total += count
+        if total > cap:
+            raise LimitExceeded(f"{total} words exceeds cap {cap}")
+        counts.append(count)
+    return counts
+
+
 def enumerate_words(universe: Universe, max_length: int,
                     cap: int = DEFAULT_WORD_CAP) -> WordTable:
     """Canonical enumeration: within a length, splits by left-length ascending,
-    then (left word, label in input order, right word) lexicographically."""
-    if max_length < 1:
-        raise ValueError("max_length must be >= 1")
+    then (left word, label in input order, right word) lexicographically.
+    ``count_words`` judges ``cap`` before any word is built."""
+    count_words(universe, max_length, cap)
     labels = universe.labels
     by_length = [list(universe._leaves)]
-    total = universe.num_gens
-    if total > cap:
-        raise LimitExceeded(f"{total} words exceeds cap {cap}")
     node = universe.node
     for k in range(2, max_length + 1):
-        count = sum(len(by_length[j - 1]) * len(labels) * len(by_length[k - j - 1])
-                    for j in range(1, k))
-        if total + count > cap:
-            raise LimitExceeded(f"{total + count} words exceeds cap {cap}")
         level = []
         for j in range(1, k):
             rights = by_length[k - j - 1]
@@ -100,7 +112,6 @@ def enumerate_words(universe: Universe, max_length: int,
                 for m in labels:
                     level.extend(node(left, m, right) for right in rights)
         by_length.append(level)
-        total += count
     return WordTable(by_length)
 
 

@@ -96,6 +96,18 @@ def test_input_errors(capsys):
     assert code == 2 and "bad --point" in err
     code, out, err = run(capsys, "oracle", "--input", P2, "--graded")
     assert code == 2 and not out and "GradingViolation" in err
+    # a count below 1 is an input error, not a cap or budget that was hit
+    for argv, flag in [
+            (["compare", "--max-length", "2", "--workers", "0"], "--workers"),
+            (["compare", "--max-length", "2", "--workers", "-3"], "--workers"),
+            (["oracle", "--workers", "0"], "--workers"),
+            (["compare", "--max-length", "2", "--budget", "0"], "--budget"),
+            (["oracle", "--budget", "-1"], "--budget"),
+            (["ideal", "--max-length", "2", "--word-cap", "-5"], "--word-cap"),
+            (["compare", "--max-length", "2", "--word-cap", "0"], "--word-cap"),
+            (["enumerate", "--max-length", "2", "--word-cap", "-5"], "--word-cap")]:
+        code, out, err = run(capsys, argv[0], "--input", P2, *argv[1:])
+        assert (code, out, err) == (2, "", f"error: {flag} must be >= 1\n"), argv
 
 
 def test_bad_point_fails_before_the_ideal(capsys, monkeypatch):

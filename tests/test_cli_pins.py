@@ -9,14 +9,16 @@ text of ``ideal``, ``compare``, ``enumerate`` or ``oracle`` shows up here as
 a named run.  Where the section needs words of length s = 2, the runs at
 L = 2s are pinned too: there the kernel vectors w - sigma(eta(w)) reach
 section words of length 2.  Those literals were recorded while the kernel
-was still read off a second elimination over the eta matrix at L.
+was still read off a second elimination over the eta matrix at L.  The
+``check`` runs, at L = 2 and L = 2s + 1 on the identity and on a point off
+the locus, were recorded while ``check`` still built the ideal at L.
 """
 
 import contextlib
 import hashlib
 import io
 
-from conftest import CORPUS, DATA, load
+from conftest import CORPUS, DATA, OFF_LOCUS, identity_literal, load
 from autalg.cli import main
 from autalg.presentation import generation_closure
 
@@ -43,6 +45,9 @@ def pin_runs():
                 yield path.name, ["ideal", "--max-length", str(stable), *mode]
             if pres.ring.p is not None:
                 yield path.name, ["compare", "--max-length", str(stable)]
+        for length in (2, stable + 1):
+            for point in (identity_literal(pres.num_gens), OFF_LOCUS[path.name]):
+                yield path.name, ["check", "--max-length", str(length), "--point", point]
 
 
 def run_pin(name, argv):
@@ -65,6 +70,10 @@ CLI_PINS = {
     ("p0_f2.malg", "enumerate --max-length 3"): (0, "d9c7a74d0a9f3ec69209f69b0a0b65d7cc698c9d16215893981983f2db3dca50"),
     ("p0_f2.malg", "oracle"): (0, "bc85283063db89f0fca1f72e6237236b94a5ca041023aab997750429d8ad1a61"),
     ("p0_f2.malg", "compare --max-length 2 --budget 1"): (4, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("p0_f2.malg", "check --max-length 2 --point 1,0;0,1"): (0, "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74"),
+    ("p0_f2.malg", "check --max-length 2 --point 0,0;0,0"): (1, "2ed27c1421e6928dbe13dbfdb5c59e1045b30341fe7ebe05700006bc5ac572c0"),
+    ("p0_f2.malg", "check --max-length 3 --point 1,0;0,1"): (0, "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74"),
+    ("p0_f2.malg", "check --max-length 3 --point 0,0;0,0"): (1, "2ed27c1421e6928dbe13dbfdb5c59e1045b30341fe7ebe05700006bc5ac572c0"),
     ("p1_q.malg", "ideal --max-length 2"): (0, "98bb1cbe92727ea8e2f07f3338cdc96af4a1ff756e9ed65d09b343e12e6994cf"),
     ("p1_q.malg", "ideal --max-length 2 --no-inverse"): (0, "b29dfc245bb4e9bc61288eb7e97ac0a89340eb621117cf326107826c7a617585"),
     ("p1_q.malg", "ideal --max-length 3"): (0, "9d1b843eecd7b47614d17bc956b46276ef147331ba003da51abf70d8e198e722"),
@@ -78,6 +87,10 @@ CLI_PINS = {
     ("p1_q.malg", "compare --max-length 2 --budget 1"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("p1_q.malg", "ideal --max-length 4"): (0, "d62af631d71ce28334d34ddca462795786e73e7086a35099c325c66249935832"),
     ("p1_q.malg", "ideal --max-length 4 --no-inverse"): (0, "5cd180fc7a04d0d58df7b6b051c04d59b0e56177985ff4ec447f959839a80b8c"),
+    ("p1_q.malg", "check --max-length 2 --point 1"): (0, "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74"),
+    ("p1_q.malg", "check --max-length 2 --point 0"): (1, "2ed27c1421e6928dbe13dbfdb5c59e1045b30341fe7ebe05700006bc5ac572c0"),
+    ("p1_q.malg", "check --max-length 5 --point 1"): (0, "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74"),
+    ("p1_q.malg", "check --max-length 5 --point 0"): (1, "2ed27c1421e6928dbe13dbfdb5c59e1045b30341fe7ebe05700006bc5ac572c0"),
     ("p2_f3.malg", "ideal --max-length 2"): (0, "4734f62b42223b7ed4aeba2de4605c6b393f06791196e9456f66b47624d1741a"),
     ("p2_f3.malg", "ideal --max-length 2 --no-inverse"): (0, "e64bf3e10d5c346505c7cb8a42b935d09975425174682f8adb1ccb9655a3e577"),
     ("p2_f3.malg", "ideal --max-length 3"): (0, "f4f5570a7ded171e94c199b0e10a9ea98157aee523029a0ed7ea4e5f1657712e"),
@@ -89,6 +102,10 @@ CLI_PINS = {
     ("p2_f3.malg", "enumerate --max-length 3"): (0, "35d62fab308845bd88f86697a8d7815a24c1f8ef21e0b849bd446684bc278051"),
     ("p2_f3.malg", "oracle"): (0, "bba075319cda48be111e7eff0a4ff67b4182681253cdb9c841e54ec4c9d7d7f7"),
     ("p2_f3.malg", "compare --max-length 2 --budget 1"): (4, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("p2_f3.malg", "check --max-length 2 --point 1,0;0,1"): (0, "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74"),
+    ("p2_f3.malg", "check --max-length 2 --point 1,0;0,2"): (1, "2ed27c1421e6928dbe13dbfdb5c59e1045b30341fe7ebe05700006bc5ac572c0"),
+    ("p2_f3.malg", "check --max-length 3 --point 1,0;0,1"): (0, "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74"),
+    ("p2_f3.malg", "check --max-length 3 --point 1,0;0,2"): (1, "2ed27c1421e6928dbe13dbfdb5c59e1045b30341fe7ebe05700006bc5ac572c0"),
     ("p2_graded_f3.malg", "ideal --max-length 2"): (0, "4734f62b42223b7ed4aeba2de4605c6b393f06791196e9456f66b47624d1741a"),
     ("p2_graded_f3.malg", "ideal --max-length 2 --no-inverse"): (0, "e64bf3e10d5c346505c7cb8a42b935d09975425174682f8adb1ccb9655a3e577"),
     ("p2_graded_f3.malg", "ideal --max-length 2 --graded"): (0, "2bcfd42d02a6ecd79b743e3c14a0f2bad6904aed16ee41c2f167e003eb4eef34"),
@@ -104,6 +121,10 @@ CLI_PINS = {
     ("p2_graded_f3.malg", "enumerate --max-length 3"): (0, "35d62fab308845bd88f86697a8d7815a24c1f8ef21e0b849bd446684bc278051"),
     ("p2_graded_f3.malg", "oracle"): (0, "bba075319cda48be111e7eff0a4ff67b4182681253cdb9c841e54ec4c9d7d7f7"),
     ("p2_graded_f3.malg", "compare --max-length 2 --budget 1"): (4, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("p2_graded_f3.malg", "check --max-length 2 --point 1,0;0,1"): (0, "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74"),
+    ("p2_graded_f3.malg", "check --max-length 2 --point 1,0;0,2"): (1, "2ed27c1421e6928dbe13dbfdb5c59e1045b30341fe7ebe05700006bc5ac572c0"),
+    ("p2_graded_f3.malg", "check --max-length 3 --point 1,0;0,1"): (0, "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74"),
+    ("p2_graded_f3.malg", "check --max-length 3 --point 1,0;0,2"): (1, "2ed27c1421e6928dbe13dbfdb5c59e1045b30341fe7ebe05700006bc5ac572c0"),
     ("p2_q.malg", "ideal --max-length 2"): (0, "0642d992477a5763f91c0390312b0876cc0f208301c053a9f8418a944ed1876a"),
     ("p2_q.malg", "ideal --max-length 2 --no-inverse"): (0, "cde8a5a06a64cc885167f6df0eb8dc4b3133e4c57a8933cdfd72a10d1af4821e"),
     ("p2_q.malg", "ideal --max-length 3"): (0, "08ff42d5dbb748e2f62ed02326d0c98a1308f525a5bed533f9583fcc08ad7793"),
@@ -115,6 +136,10 @@ CLI_PINS = {
     ("p2_q.malg", "enumerate --max-length 3"): (0, "35d62fab308845bd88f86697a8d7815a24c1f8ef21e0b849bd446684bc278051"),
     ("p2_q.malg", "oracle"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("p2_q.malg", "compare --max-length 2 --budget 1"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("p2_q.malg", "check --max-length 2 --point 1,0;0,1"): (0, "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74"),
+    ("p2_q.malg", "check --max-length 2 --point 1,0;0,2"): (1, "2ed27c1421e6928dbe13dbfdb5c59e1045b30341fe7ebe05700006bc5ac572c0"),
+    ("p2_q.malg", "check --max-length 3 --point 1,0;0,1"): (0, "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74"),
+    ("p2_q.malg", "check --max-length 3 --point 1,0;0,2"): (1, "2ed27c1421e6928dbe13dbfdb5c59e1045b30341fe7ebe05700006bc5ac572c0"),
     ("p3_q.malg", "ideal --max-length 2"): (0, "f88b70b40a5c60c2810e7b95aa8a2c61cbdcfb1099d7ed7a1e563b7443926e99"),
     ("p3_q.malg", "ideal --max-length 2 --no-inverse"): (0, "92234de4954ac75f13f6c10f176c13bb4131e8da1c927d2f3c4dc4856a28fe2a"),
     ("p3_q.malg", "ideal --max-length 2 --fixed"): (0, "e9450f6da85e687156048af4137fc09f4312a736600741fc8884f198827bfac8"),
@@ -133,6 +158,10 @@ CLI_PINS = {
     ("p3_q.malg", "ideal --max-length 4"): (0, "fcb6633af3c64ff06d0b297e953100697dc1773ae31c4e8f51a5d67799aba8c4"),
     ("p3_q.malg", "ideal --max-length 4 --no-inverse"): (0, "781c1395d8a3ecda32e8b9d98f7042ab42d5e43a93be4692145626c35cdb38c1"),
     ("p3_q.malg", "ideal --max-length 4 --fixed"): (0, "81bbaac8bd371b6d15c7f2340872d867d937984bdcdbd80bf4367ee6ff6506ea"),
+    ("p3_q.malg", "check --max-length 2 --point 1,0;0,1"): (0, "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74"),
+    ("p3_q.malg", "check --max-length 2 --point 1,0;0,2"): (1, "2ed27c1421e6928dbe13dbfdb5c59e1045b30341fe7ebe05700006bc5ac572c0"),
+    ("p3_q.malg", "check --max-length 5 --point 1,0;0,1"): (0, "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74"),
+    ("p3_q.malg", "check --max-length 5 --point 1,0;0,2"): (1, "2ed27c1421e6928dbe13dbfdb5c59e1045b30341fe7ebe05700006bc5ac572c0"),
     ("p3_f5.malg", "ideal --max-length 2"): (0, "0cee40067af62893e937c736c6f1512218bb2bc2f28fefb7673c3f67669f2f90"),
     ("p3_f5.malg", "ideal --max-length 2 --no-inverse"): (0, "510a63da727861f74ee7a9d5573d33dee17376e23b66a72f1a939b4da83545f8"),
     ("p3_f5.malg", "ideal --max-length 3"): (0, "2ad202443af4b6be0d40486578fd578d9e7f8eb70bdb81ab2a976d9f456c81b0"),
@@ -147,6 +176,10 @@ CLI_PINS = {
     ("p3_f5.malg", "ideal --max-length 4"): (0, "a80a86f4c7b5357327aad8027d244396950d0ea6a1276a8637e57c3bd75ec031"),
     ("p3_f5.malg", "ideal --max-length 4 --no-inverse"): (0, "d20fe82319314de7c70dabbd2d3666b4f72ad47b6309d98198dddb3026d0da5b"),
     ("p3_f5.malg", "compare --max-length 4"): (0, "a4bca29cfd7109702558ab267146578e7b0fc3b478d27a7c250e0e738afa27b9"),
+    ("p3_f5.malg", "check --max-length 2 --point 1"): (0, "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74"),
+    ("p3_f5.malg", "check --max-length 2 --point 2"): (0, "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74"),
+    ("p3_f5.malg", "check --max-length 5 --point 1"): (0, "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74"),
+    ("p3_f5.malg", "check --max-length 5 --point 2"): (1, "2ed27c1421e6928dbe13dbfdb5c59e1045b30341fe7ebe05700006bc5ac572c0"),
     ("pv_f3.malg", "ideal --max-length 2"): (0, "c9b1baf91816ba0335e7ed80f643bce4ec408cd07b4eadfe910c9e7041348c88"),
     ("pv_f3.malg", "ideal --max-length 2 --no-inverse"): (0, "bee7c6d12f24c16a856436e058b408eb75e67dc316a26e1a6100a258c39bfb82"),
     ("pv_f3.malg", "ideal --max-length 2 --graded"): (0, "e1f1056214438b866c0cedb46565bfbb7f80b7a382679db7d92369f6b8658367"),
@@ -166,6 +199,10 @@ CLI_PINS = {
     ("pv_f3.malg", "enumerate --max-length 3"): (0, "23fbbe63f03df18a9815a60ae1ea45ee15a3dfc8c9a05d6eb00b728003b1ba57"),
     ("pv_f3.malg", "oracle"): (0, "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
     ("pv_f3.malg", "compare --max-length 2 --budget 1"): (4, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("pv_f3.malg", "check --max-length 2 --point 1"): (0, "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74"),
+    ("pv_f3.malg", "check --max-length 2 --point 2"): (1, "2ed27c1421e6928dbe13dbfdb5c59e1045b30341fe7ebe05700006bc5ac572c0"),
+    ("pv_f3.malg", "check --max-length 3 --point 1"): (0, "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74"),
+    ("pv_f3.malg", "check --max-length 3 --point 2"): (1, "2ed27c1421e6928dbe13dbfdb5c59e1045b30341fe7ebe05700006bc5ac572c0"),
     ("pv_f5.malg", "ideal --max-length 2"): (0, "ae72b5e8a2ad3cd616c32cda71a66de2162da5e44516aa520861b4799e23a10c"),
     ("pv_f5.malg", "ideal --max-length 2 --no-inverse"): (0, "4372956c0fd16b360d83e100f4b62b596dc430e559dd900400b74b01b5377298"),
     ("pv_f5.malg", "ideal --max-length 2 --graded"): (0, "8103e79ea30823446b3f76dd698601e6e9493d3570dce4779a8c607608e52922"),
@@ -185,6 +222,10 @@ CLI_PINS = {
     ("pv_f5.malg", "enumerate --max-length 3"): (0, "23fbbe63f03df18a9815a60ae1ea45ee15a3dfc8c9a05d6eb00b728003b1ba57"),
     ("pv_f5.malg", "oracle"): (0, "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
     ("pv_f5.malg", "compare --max-length 2 --budget 1"): (4, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("pv_f5.malg", "check --max-length 2 --point 1"): (0, "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74"),
+    ("pv_f5.malg", "check --max-length 2 --point 2"): (1, "2ed27c1421e6928dbe13dbfdb5c59e1045b30341fe7ebe05700006bc5ac572c0"),
+    ("pv_f5.malg", "check --max-length 3 --point 1"): (0, "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74"),
+    ("pv_f5.malg", "check --max-length 3 --point 2"): (1, "2ed27c1421e6928dbe13dbfdb5c59e1045b30341fe7ebe05700006bc5ac572c0"),
 }
 
 

@@ -5,16 +5,21 @@ to sigma(eta(w)) modulo the kernel vectors of length at most 2s, so the
 kernel, and with it the ideal, is generated at L = 2s.  These tests check
 what follows without deciding ideal membership: the forward generators at
 2s lead the list at every longer truncation, and over a prime field the
-locus at 2s + 1 is the locus at 2s.
+locus at 2s + 1 is the locus at 2s.  `check` and `compare`, which build the
+ideal at min(L, 2s), print what the ideal at L gives them.
 """
 
 import itertools
 import random
 
-from conftest import CORPUS, load
+import autalg
+from conftest import (CORPUS, DATA, OFF_LOCUS, identity_literal, load,
+                      matrix_literal)
 from test_acceptance import _random_presentation
-from autalg.autscheme import ideal_generators, locus_points
-from autalg.errors import NotGenerating
+from test_cli import run
+from autalg.autscheme import check_point, ideal_generators, locus_points
+from autalg.errors import AutalgError, NotGenerating
+from autalg.oracle import compare_locus, format_matrix, parse_matrix
 from autalg.presentation import format_presentation, generation_closure, parse
 
 
@@ -85,3 +90,102 @@ def test_the_locus_at_s_is_not_yet_stable():
     assert s == 1
     assert len(_locus(pres, s)) == 48
     assert len(_locus(pres, 2 * s)) == 6
+
+
+def _reference(pres, command, system, point):
+    """(exit code, stdout) of `check` or `compare` on a forward ideal built
+    at the full truncation, or on the error that building it raised."""
+    try:
+        if isinstance(system, Exception):
+            raise system
+        if command == "check":
+            ok = check_point(system, parse_matrix(point, pres.num_gens, pres.ring))
+            return (0, "true\n") if ok else (1, "false\n")
+        report = compare_locus(pres, system)
+    except (AutalgError, ValueError):
+        return 2, ""
+    if report.equal:
+        return 0, f"equal ({report.locus_size} points)\n"
+    lines = [f"mismatch: locus {report.locus_size} points, "
+             f"oracle {report.oracle_size} points"]
+    lines += [f"extra: {format_matrix(m)}" for m in report.extra]
+    lines += [f"missing: {format_matrix(m)}" for m in report.missing]
+    return 3, "".join(line + "\n" for line in lines)
+
+
+def _recording_enumerate_words(monkeypatch):
+    """Wrap enumerate_words in every module that binds it; the returned list
+    collects the lengths asked for."""
+    asked = []
+    inner = autalg.words.enumerate_words
+
+    def recording(universe, max_length, *args, **kwargs):
+        asked.append(max_length)
+        return inner(universe, max_length, *args, **kwargs)
+
+    for module in (autalg, autalg.words, autalg.freealg, autalg.autscheme, autalg.cli):
+        if hasattr(module, "enumerate_words"):
+            monkeypatch.setattr(module, "enumerate_words", recording)
+    return asked
+
+
+def test_check_and_compare_match_the_ideal_at_full_length(capsys, monkeypatch):
+    asked = _recording_enumerate_words(monkeypatch)
+    for path in CORPUS:
+        pres = load(path.name)
+        n, stable = pres.num_gens, stable_length(pres)
+        reversal = matrix_literal([[int(i + j == n - 1) for j in range(n)]
+                                   for i in range(n)])
+        points = [identity_literal(n), reversal, OFF_LOCUS[path.name]]
+        # p3_q over Q at 2s + 2 = 6 takes seconds at the full length
+        top = stable + (1 if path.name == "p3_q.malg" else 2)
+        for length, graded, fixed in itertools.product(
+                range(1, top + 1), {False, pres.degrees is not None},
+                {False, bool(pres.fixed)}):
+            try:
+                system = ideal_generators(pres, length, graded=graded,
+                                         fixed=fixed, inverse=False)
+            except AutalgError as exc:
+                system = exc
+            flags = ["--graded"] * graded + ["--fixed"] * fixed
+            # --no-inverse changes nothing for check and compare: once per mode
+            for no_inverse in ([], ["--no-inverse"])[:1 + (length == top)]:
+                base = ["--input", str(path), "--max-length", str(length),
+                        *flags, *no_inverse]
+                runs = [("compare", [], None)] + [("check", ["--point", pt], pt)
+                                                  for pt in points]
+                for command, extra, point in runs:
+                    del asked[:]
+                    code, out, _ = run(capsys, command, *base, *extra)
+                    assert (code, out) == _reference(pres, command, system, point), \
+                        (command, *base, *extra)
+                    if length > stable:
+                        assert max(asked) <= stable, (command, *base, *extra)
+
+
+def test_check_and_compare_errors_at_full_length(capsys, monkeypatch):
+    asked = _recording_enumerate_words(monkeypatch)
+    p2, p3 = str(DATA / "p2_f3.malg"), str(DATA / "p3_f5.malg")
+    cap = "error: LimitExceeded: {} words exceeds cap {}\n"
+    short = ("error: TruncationTooShort: generation needs words of length 2, "
+             "truncation is 1\n")
+    grading = ("error: GradingViolation: graded option requires a graded "
+               "presentation\n")
+    for command in ("compare", "check"):
+        # p2_f3 has s = 1 and 2, 4, 16, 80 words of lengths 1 to 4: every cap
+        # from 6 up passes at 2s, and is judged at L
+        for argv, expected in [
+                (["--input", p2, "--max-length", "4", "--word-cap", "50"],
+                 (4, "", cap.format(102, 50))),
+                (["--input", p2, "--max-length", "4", "--word-cap", "20"],
+                 (4, "", cap.format(22, 20))),
+                (["--input", p3, "--max-length", "1"], (2, "", short)),
+                (["--input", p2, "--max-length", "4", "--graded"], (2, "", grading)),
+                # the cap is judged before the grading
+                (["--input", p2, "--max-length", "4", "--graded", "--word-cap", "50"],
+                 (4, "", cap.format(102, 50)))]:
+            if command == "check":
+                argv += ["--point", "1" if argv[1] == p3 else "1,0;0,1"]
+            del asked[:]
+            assert run(capsys, command, *argv) == expected, (command, *argv)
+            assert max(asked, default=0) <= 2, (command, *argv)

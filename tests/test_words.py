@@ -3,7 +3,7 @@ import math
 import pytest
 
 from autalg.errors import LimitExceeded, MissingDegreeRule
-from autalg.words import (Universe, enumerate_words, format_word,
+from autalg.words import (Universe, count_words, enumerate_words, format_word,
                           table_degree_rule)
 
 
@@ -38,6 +38,7 @@ def test_counting_closed_form(n, nl):
     expected = [catalan(k - 1) * n**k * nl ** (k - 1) for k in range(1, 6)]
     assert level_sizes(table) == expected
     assert level_sizes(table) == brute_counts(n, nl, 5)
+    assert count_words(Universe(n, labels), 5) == expected
 
 
 def test_decompose():
@@ -82,8 +83,10 @@ def test_canonical_order_deterministic():
 
 
 def test_limit_exceeded():
-    with pytest.raises(LimitExceeded):
-        enumerate_words(Universe(3, [0, 1, 2]), 6, cap=1000)
+    # 3, 27, 486, 10935 words of lengths 1 to 4: the cap is hit at length 4
+    for words in (count_words, enumerate_words):
+        with pytest.raises(LimitExceeded, match="11451 words exceeds cap 1000"):
+            words(Universe(3, [0, 1, 2]), 6, cap=1000)
     with pytest.raises(LimitExceeded):  # the leaves alone exceed the cap
         enumerate_words(Universe(3, [0]), 1, cap=2)
 
@@ -99,6 +102,7 @@ def test_invalid_arguments():
         lambda: u.leaf(3),
         lambda: u.node(x, 1, x),
         lambda: enumerate_words(u, 0),
+        lambda: count_words(u, 0),
     ]:
         with pytest.raises(ValueError):
             call()
