@@ -8,7 +8,8 @@ from .errors import AutalgError
 from .freealg import eta_evaluate, eta_matrix, m_product
 from .oracle import (AutoSet, ComparisonReport, compare_locus,
                      enumerate_automorphisms)
-from .poly import Polynomial, adjugate, determinant, format_poly, parse_poly
+from .poly import (Polynomial, adjugate, determinant, format_poly,
+                   format_polys, parse_poly)
 from .presentation import (Presentation, SectionData, base_change,
                            format_presentation, generation_closure, parse,
                            parse_file)
@@ -21,7 +22,7 @@ __all__ = [
     "Universe", "Word", "WordTable", "adjugate", "base_change", "check_point",
     "compare_locus", "determinant", "enumerate_automorphisms",
     "enumerate_words", "eta_evaluate", "eta_matrix", "format_poly",
-    "format_presentation", "generation_closure", "generic_image",
-    "ideal_generators", "kernel_basis", "locus_points", "m_product", "parse",
-    "parse_file", "parse_poly", "reduce_mod_p",
+    "format_polys", "format_presentation", "generation_closure",
+    "generic_image", "ideal_generators", "kernel_basis", "locus_points",
+    "m_product", "parse", "parse_file", "parse_poly", "reduce_mod_p",
 ]

@@ -19,7 +19,7 @@ from .autscheme import check_point, ideal_generators
 from .errors import AutalgError, BudgetExceeded, LimitExceeded
 from .oracle import (DEFAULT_BUDGET, compare_locus, enumerate_automorphisms,
                      format_matrix, parse_matrix)
-from .poly import format_poly
+from .poly import format_polys
 from .presentation import generation_closure, parse_file
 from .words import DEFAULT_WORD_CAP, count_words, enumerate_words, format_word
 
@@ -71,6 +71,9 @@ def _run(args) -> int:
     for name in ("word_cap", "budget", "workers"):
         if getattr(args, name, 1) < 1:
             raise ValueError(f"--{name.replace('_', '-')} must be >= 1")
+    if args.command == "compare" and pres.ring.p is None:
+        # the locus scan needs a prime field: fail before anything is built
+        raise ValueError("locus enumeration requires a prime field")
 
     if args.command == "enumerate":
         table = enumerate_words(pres.universe, args.max_length, args.word_cap)
@@ -111,8 +114,8 @@ def _run(args) -> int:
 
     if args.command == "ideal":
         print(system.meta_line())
-        for g in system.generators:
-            print(format_poly(g))
+        for line in format_polys(system.generators):
+            print(line)
         return 0
 
     if args.command == "check":

@@ -187,6 +187,25 @@ def format_poly(p: Polynomial) -> str:
     return " + ".join(pieces)
 
 
+def format_polys(polys):
+    """Yield format_poly(p) for each p in polys.  Each distinct monomial's
+    factor text (" * X_1_1^2 * t") is built once per call, by format_poly on
+    the one-term polynomial, and shared by every term that has it."""
+    factors: dict = {}
+    for p in polys:
+        if not p.terms:
+            yield "0"
+            continue
+        pieces = []
+        for mono in sorted(p.terms, key=_grlex_key, reverse=True):
+            text = factors.get(mono)
+            if text is None:
+                one_term = Polynomial(p.ring, p.n, {mono: 1})
+                text = factors[mono] = format_poly(one_term)[1:]
+            pieces.append(str(p.terms[mono]) + text)
+        yield " + ".join(pieces)
+
+
 _FACTOR_RE = re.compile(r"^(?:X_(\d+)_(\d+)|t)(?:\^(\d+))?$")
 
 

@@ -121,6 +121,38 @@ def test_bad_point_fails_before_the_ideal(capsys, monkeypatch):
     assert err.startswith("error: bad --point literal") and err.count("\n") == 1
 
 
+def test_compare_over_q_fails_before_anything_is_built(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("compare over Q built something")
+
+    monkeypatch.setattr("autalg.cli.generation_closure", unreachable)
+    monkeypatch.setattr("autalg.cli.ideal_generators", unreachable)
+    # at L = 1 < s the truncation is too short, and the ring comes first
+    for length in ("4", "1"):
+        code, out, err = run(capsys, "compare", "--input", str(DATA / "p3_q.malg"),
+                             "--max-length", length)
+        assert (code, out, err) == (
+            2, "", "error: locus enumeration requires a prime field\n"), length
+
+
+def test_ideal_formats_each_distinct_monomial_once(capsys, monkeypatch):
+    calls = []
+    format_poly = autalg.poly.format_poly
+
+    def counting(p):
+        calls.append(p)
+        return format_poly(p)
+
+    monkeypatch.setattr("autalg.poly.format_poly", counting)
+    code, out, _ = run(capsys, "ideal", "--input", str(DATA / "p3_q.malg"),
+                       "--max-length", "3")
+    gens = ideal_generators(load("p3_q.malg"), 3).generators
+    monos = {mono for g in gens for mono in g.terms}
+    assert code == 0 and len(out.splitlines()) == len(gens) + 1
+    assert len(calls) == len(monos) < sum(len(g.terms) for g in gens)
+    assert {mono for p in calls for mono in p.terms} == monos
+
+
 def test_closed_stdout_exits_141():
     # a reader that has gone is not an input error: exit 128 + SIGPIPE, as a
     # shell reports for a command ended by `| head`, with nothing on stderr

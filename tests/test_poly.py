@@ -1,10 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import CORPUS, load
+from autalg.autscheme import ideal_generators
 from autalg.poly import (Polynomial, adjugate, determinant, format_poly,
-                         generic_matrix, parse_poly)
+                         format_polys, generic_matrix, parse_poly)
 from autalg.rings import GF, QQ
 
 F2 = GF(2)
@@ -163,3 +166,50 @@ def test_grlex_printing_order():
     p = X(F3, n, 2, 2).add(X(F3, n, 1, 1).mul(X(F3, n, 1, 2))).add(
         Polynomial.constant(F3, n, 2))
     assert format_poly(p) == "1 * X_1_1 * X_1_2 + 1 * X_2_2 + 2"
+
+
+def _random_polys(rng, ring, n, count):
+    """Polynomials over a small pool of monomials, so that most monomials
+    recur across the list with different coefficients; the pool holds the
+    constant monomial, and the list the zero polynomial and a constant."""
+    arity = n * n + 1
+    pool = [(0,) * arity] + [tuple(rng.randrange(3) for _ in range(arity))
+                             for _ in range(6)]
+    if ring.p is None:
+        coeffs = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2),
+                  Fraction(7, 3), Fraction(-3)]
+    else:
+        coeffs = list(range(1, ring.p))
+    polys = [Polynomial.zero(ring, n), Polynomial.constant(ring, n, coeffs[-1])]
+    for _ in range(count):
+        terms = {}
+        for mono in rng.sample(pool, rng.randrange(1, len(pool) + 1)):
+            ring.accumulate(terms, mono, rng.choice(coeffs))
+        polys.append(Polynomial(ring, n, terms))
+    rng.shuffle(polys)
+    return polys
+
+
+def test_format_polys_matches_format_poly_on_random_lists():
+    rng = random.Random(23)
+    mixed = []
+    for ring, n in itertools.product((QQ, F3), (1, 2, 3)):
+        polys = _random_polys(rng, ring, n, 40)
+        assert list(format_polys(polys)) == [format_poly(p) for p in polys]
+        mixed += polys
+    # one call over every ring and size at once: the monomial's arity fixes N
+    assert list(format_polys(mixed)) == [format_poly(p) for p in mixed]
+    assert list(format_polys([])) == []
+    assert list(format_polys(iter([Polynomial.zero(F3, 2)]))) == ["0"]
+
+
+def test_format_polys_matches_format_poly_on_the_corpus_ideals():
+    for path in CORPUS:
+        pres = load(path.name)
+        modes = itertools.product({False, pres.degrees is not None},
+                                  {False, bool(pres.fixed)}, (False, True))
+        for (graded, fixed, inverse), length in itertools.product(modes, (2, 3)):
+            gens = ideal_generators(pres, length, graded=graded, fixed=fixed,
+                                    inverse=inverse).generators
+            assert list(format_polys(gens)) == [format_poly(g) for g in gens], \
+                (path.name, length, graded, fixed, inverse)

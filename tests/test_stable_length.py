@@ -160,7 +160,9 @@ def test_check_and_compare_match_the_ideal_at_full_length(capsys, monkeypatch):
                     assert (code, out) == _reference(pres, command, system, point), \
                         (command, *base, *extra)
                     if length > stable:
-                        assert max(asked) <= stable, (command, *base, *extra)
+                        # compare over Q builds no word at all
+                        assert max(asked, default=0) <= stable, \
+                            (command, *base, *extra)
 
 
 def test_check_and_compare_errors_at_full_length(capsys, monkeypatch):
