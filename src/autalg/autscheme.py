@@ -84,6 +84,15 @@ def theta_tilde_word(theta: list[list], w: Word, universe: Universe,
     return e
 
 
+def _lift(ring: Ring, section: SectionData, vec) -> dict[Word, object]:
+    """sigma(vec) = sum_k vec_k * section.elements[k], skipping zero entries."""
+    sigma: dict[Word, object] = {}
+    for x, element in zip(vec, section.elements):
+        for u, y in element.items() if x else ():
+            ring.accumulate(sigma, u, ring.mul(x, y))
+    return sigma
+
+
 @dataclass
 class KernelBasis:
     """Reduced-echelon basis of the truncated kernel of the evaluation map,
@@ -114,10 +123,7 @@ def kernel_basis(pres: Presentation, max_length: int,
     for w in table.words:
         if w in in_section:
             continue
-        sigma: dict[Word, object] = {}
-        for x, element in zip(eta_evaluate(w, pres), section.elements):
-            for u, y in element.items() if x else ():
-                ring.accumulate(sigma, u, ring.mul(x, y))
+        sigma = _lift(ring, section, eta_evaluate(w, pres))
         support = [u for u in pivots if u in sigma]
         coeffs = [ring.neg(sigma[u]) for u in support] + [ring.one]
         if ring.p is None:
@@ -239,32 +245,23 @@ def ideal_generators(pres: Presentation, max_length: int, *,
     graded entry conditions, then fixed-vector conditions, then the kernel
     conditions composed with t * adj(theta) followed by t * det(theta) - 1.
     Every block feeds one dedup, which drops exact zeros and duplicates as
-    they come, so a dropped generator is freed at once: a generator is kept
-    unless an earlier kept one has the same hash of ``key()`` and the same
-    terms, and no key is stored.  Nothing else is minimized.
+    they come, so a dropped generator is freed at once: the kept generators
+    are the keys of one insertion-ordered dict, and a generator equal by
+    value to a kept one (``Polynomial`` hashes by value) is not stored.
+    Nothing else is minimized.
     """
     ring, n = pres.ring, pres.num_gens
     kb = kernel_basis(pres, max_length, cap)
     if graded and pres.degrees is None:
         raise GradingViolation("graded option requires a graded presentation")
-    unique: list[Polynomial] = []
-    by_hash: dict[int, list[Polynomial]] = {}
+    unique: dict[Polynomial, None] = {}
 
     def keep(gens) -> None:
         for g in gens:
             if g:
-                same = by_hash.setdefault(hash(g.key()), [])
-                if all(g.terms != kept.terms for kept in same):
-                    same.append(g)
-                    unique.append(g)
+                unique.setdefault(g)
 
-    sigmas = []
-    for v in pres.fixed if fixed else ():
-        sigma = {}
-        for c, element in zip(v, kb.section.elements):
-            for w, x in element.items():
-                ring.accumulate(sigma, w, ring.mul(c, x))
-        sigmas.append(sigma)
+    sigmas = [_lift(ring, kb.section, v) for v in pres.fixed] if fixed else []
     words = kb.table.words
     gm = generic_matrix(ring, n)
     forward = _block(pres, gm, words, kb.vectors + sigmas)
@@ -289,7 +286,7 @@ def ideal_generators(pres: Presentation, max_length: int, *,
             keep(coords)
         # t * det(X) - 1, which vanishes exactly when t = 1/det(X)
         keep([t.mul(poly_determinant(gm)).sub(Polynomial.constant(ring, n, ring.one))])
-    return IdealSystem(n, ring, max_length, graded, fixed, inverse, unique)
+    return IdealSystem(n, ring, max_length, graded, fixed, inverse, list(unique))
 
 
 # -- point membership ----------------------------------------------------------

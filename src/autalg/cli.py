@@ -16,7 +16,7 @@ import os
 import sys
 
 from .autscheme import check_point, ideal_generators
-from .errors import AutalgError, BudgetExceeded, LimitExceeded
+from .errors import AutalgError, BadPrime, BudgetExceeded, LimitExceeded
 from .oracle import (DEFAULT_BUDGET, compare_locus, enumerate_automorphisms,
                      format_matrix, parse_matrix)
 from .poly import format_polys
@@ -94,8 +94,8 @@ def _run(args) -> int:
         # a malformed point fails before the ideal is built
         try:
             point = parse_matrix(args.point, pres.num_gens, pres.ring)
-        except ValueError as exc:
-            raise ValueError(f"bad --point literal: {exc}") from None
+        except (ValueError, BadPrime) as exc:
+            raise type(exc)(f"bad --point literal: {exc.args[0]}") from None
 
     length = args.max_length
     if args.command != "ideal":

@@ -59,6 +59,10 @@ class Polynomial:
     def key(self):
         return frozenset(self.terms.items())
 
+    def __hash__(self):
+        # by value, as __eq__ compares: terms are not mutated once built
+        return hash(self.key())
+
     # -- arithmetic ---------------------------------------------------------
 
     def add(self, other: "Polynomial") -> "Polynomial":
@@ -166,31 +170,27 @@ def _grlex_key(mono: tuple) -> tuple:
     return (sum(mono), mono)
 
 
-def _var_name(idx: int, n: int) -> str:
-    if idx == n * n:
-        return "t"
-    return f"X_{idx // n + 1}_{idx % n + 1}"
+def _monomial_text(mono: tuple, n: int) -> str:
+    """The factor text of a monomial, as " * X_1_1^2 * t"; empty for 1."""
+    parts = []
+    for idx, e in enumerate(mono):
+        if e:
+            name = "t" if idx == n * n else f"X_{idx // n + 1}_{idx % n + 1}"
+            parts.append(f" * {name}^{e}" if e > 1 else f" * {name}")
+    return "".join(parts)
 
 
 def format_poly(p: Polynomial) -> str:
     if not p.terms:
         return "0"
-    pieces = []
-    for mono in sorted(p.terms, key=_grlex_key, reverse=True):
-        parts = [str(p.terms[mono])]
-        for idx, e in enumerate(mono):
-            if e == 1:
-                parts.append(_var_name(idx, p.n))
-            elif e > 1:
-                parts.append(f"{_var_name(idx, p.n)}^{e}")
-        pieces.append(" * ".join(parts))
-    return " + ".join(pieces)
+    return " + ".join(str(p.terms[mono]) + _monomial_text(mono, p.n)
+                      for mono in sorted(p.terms, key=_grlex_key, reverse=True))
 
 
 def format_polys(polys):
     """Yield format_poly(p) for each p in polys.  Each distinct monomial's
-    factor text (" * X_1_1^2 * t") is built once per call, by format_poly on
-    the one-term polynomial, and shared by every term that has it."""
+    ``_monomial_text`` is built once per call and shared by every term that
+    has it."""
     factors: dict = {}
     for p in polys:
         if not p.terms:
@@ -200,8 +200,7 @@ def format_polys(polys):
         for mono in sorted(p.terms, key=_grlex_key, reverse=True):
             text = factors.get(mono)
             if text is None:
-                one_term = Polynomial(p.ring, p.n, {mono: 1})
-                text = factors[mono] = format_poly(one_term)[1:]
+                text = factors[mono] = _monomial_text(mono, p.n)
             pieces.append(str(p.terms[mono]) + text)
         yield " + ".join(pieces)
 

@@ -223,6 +223,8 @@ def _parse_combo(text: str, names: dict[str, int], ring: Ring, dim: int,
             c = ring.parse(cstr)
         except ValueError:
             raise PresentationSyntaxError(lineno, f"bad coefficient {cstr!r}") from None
+        except BadPrime as exc:
+            raise BadPrime(f"line {lineno}: {exc.args[0]}") from None
         k = names[name]
         vec[k] = ring.add(vec[k], c)
     return tuple(vec)

@@ -94,6 +94,12 @@ def test_input_errors(capsys):
     code, _, err = run(capsys, "check", "--input", P2, "--max-length", "2",
                        "--point", "1,2")
     assert code == 2 and "bad --point" in err
+    # a scalar that does not reduce mod p is a bad point like any other
+    code, out, err = run(capsys, "check", "--input", P2, "--max-length", "2",
+                         "--point", "1/3,0;0,1")
+    assert (code, out, err) == (
+        2, "", "error: BadPrime: bad --point literal: "
+               "denominator of 1/3 divisible by 3\n")
     code, out, err = run(capsys, "oracle", "--input", P2, "--graded")
     assert code == 2 and not out and "GradingViolation" in err
     # a count below 1 is an input error, not a cap or budget that was hit
@@ -137,20 +143,20 @@ def test_compare_over_q_fails_before_anything_is_built(capsys, monkeypatch):
 
 def test_ideal_formats_each_distinct_monomial_once(capsys, monkeypatch):
     calls = []
-    format_poly = autalg.poly.format_poly
+    monomial_text = autalg.poly._monomial_text
 
-    def counting(p):
-        calls.append(p)
-        return format_poly(p)
+    def counting(mono, n):
+        calls.append(mono)
+        return monomial_text(mono, n)
 
-    monkeypatch.setattr("autalg.poly.format_poly", counting)
+    monkeypatch.setattr("autalg.poly._monomial_text", counting)
     code, out, _ = run(capsys, "ideal", "--input", str(DATA / "p3_q.malg"),
                        "--max-length", "3")
     gens = ideal_generators(load("p3_q.malg"), 3).generators
     monos = {mono for g in gens for mono in g.terms}
     assert code == 0 and len(out.splitlines()) == len(gens) + 1
     assert len(calls) == len(monos) < sum(len(g.terms) for g in gens)
-    assert {mono for p in calls for mono in p.terms} == monos
+    assert set(calls) == monos
 
 
 def test_closed_stdout_exits_141():
@@ -173,13 +179,14 @@ def test_closed_stdout_exits_141():
 
 def test_input_error_classes(capsys, tmp_path):
     # one bad input per error class: exit 2, nothing on stdout, one
-    # diagnostic line naming the class
+    # diagnostic line naming the class, and the line where the file has one
     base = "ring Fp 3\nproducts 0\nbasis x\nbasis y\ngenerators x\n"
     for text, name in [
         ("ring Fp 3\nproducts 0\nbasis x\n", "SyntaxError"),
         (base + "mul 0 x x = 1*z\n", "UnknownName"),
         ("ring Fp 3\nproducts 0\nbasis x\nbasis x\ngenerators x\n", "DuplicateBasis"),
         ("ring Fp 4\nproducts 0\nbasis x\ngenerators x\n", "BadPrime"),
+        (base + "\nmul 0 x x = 1/3*y\n", "BadPrime: line 7"),
         ("ring Fp 3\nproducts 0\ngrading table\nbasis x 1\nbasis y 3\n"
          "generators x y\nmul 0 x x = 1*y\ndtable 1 0 1 = 2\n", "GradingViolation"),
         ("ring Fp 3\nproducts 0\ngrading table\nbasis x 1\nbasis y 2\n"
@@ -188,7 +195,7 @@ def test_input_error_classes(capsys, tmp_path):
         ("ring Fp 3\nproducts 0\nbasis x\nbasis y\nbasis z\ngenerators x\n"
          "mul 0 x x = 1*y\nmul 0 y y = 1*z\n", "TruncationTooShort"),
     ]:
-        path = tmp_path / f"{name}.malg"
+        path = tmp_path / "case.malg"
         path.write_text(text)
         code, out, err = run(capsys, "ideal", "--input", str(path), "--max-length", "2")
         assert (code, out) == (2, ""), name

@@ -47,6 +47,21 @@ def test_mul_distributes():
     assert format_poly(prod) == "1 * X_1_1^2 + 1 * X_1_1 * X_1_2"
 
 
+def test_equal_polynomials_hash_equal_and_dedup_to_one():
+    # the ideal's dedup is a dict keyed by the generators themselves
+    a, b = X(F5, 2, 1, 1), X(F5, 2, 2, 2).mul(Polynomial.t_var(F5, 2))
+    one = Polynomial(F5, 2, {**a.scale(3).terms, **b.terms})
+    other = Polynomial(F5, 2, {**b.terms, **a.scale(3).terms})
+    assert list(one.terms) != list(other.terms)
+    half = Polynomial(QQ, 2, {**X(QQ, 2, 1, 2).terms, (0,) * 5: Fraction(2, 4)})
+    also = Polynomial(QQ, 2, {(0,) * 5: Fraction(1, 2), **X(QQ, 2, 1, 2).terms})
+    for p, q in ((one, other), (half, also)):
+        assert p == q and hash(p) == hash(q)
+        kept = dict.fromkeys([p, q])
+        assert len(kept) == 1 and next(iter(kept)) is p
+    assert len(dict.fromkeys([one, one.scale(2), half, half.neg()])) == 4
+
+
 def test_scale_char_two():
     assert not X(F2, 2, 2, 1).scale(F2.parse("2"))
 

@@ -21,6 +21,7 @@ from autalg.autscheme import check_point, ideal_generators, locus_points
 from autalg.errors import AutalgError, NotGenerating
 from autalg.oracle import compare_locus, format_matrix, parse_matrix
 from autalg.presentation import format_presentation, generation_closure, parse
+from autalg.words import count_words
 
 
 def stable_length(pres):
@@ -90,6 +91,82 @@ def test_the_locus_at_s_is_not_yet_stable():
     assert s == 1
     assert len(_locus(pres, s)) == 48
     assert len(_locus(pres, 2 * s)) == 6
+
+
+def _draw(rng):
+    """A random presentation over F_2, F_3 or F_5 with at most three basis
+    elements, one or two product labels, no grading or a vertex or table
+    grading, generators a random nonempty subset of the basis (at most two
+    over F_5, so p^(N^2) <= 3^9), and at most one random fixed vector; a
+    graded product lands only on basis elements of its degree."""
+    p = rng.choice((2, 3, 5))
+    dim = rng.randint(1, 3)
+    labels = rng.sample((-1, 0, 1), rng.randint(1, 2))
+    grading = rng.choice(("none", "vertex", "table"))
+    degrees = [rng.randrange(3) for _ in range(dim)]
+    dtable = {}
+    names = ["a", "b", "c"][:dim]
+
+    def combo(coeffs):
+        return " + ".join(f"{c}*{names[k]}" for k, c in coeffs.items())
+
+    lines = [f"ring Fp {p}", "products " + " ".join(map(str, labels)),
+             f"grading {grading}"]
+    lines += [f"basis {name}" + ("" if grading == "none" else f" {d}")
+              for name, d in zip(names, degrees)]
+    gens = rng.sample(names, rng.randint(1, min(dim, 2 if p == 5 else 3)))
+    lines.append("generators " + " ".join(gens))
+    if rng.random() < 0.5:
+        vec = {k: c for k in range(dim) if (c := rng.randrange(p))}
+        if vec:
+            lines.append("fixed " + combo(vec))
+    for m, i, j in itertools.product(labels, range(dim), range(dim)):
+        a, b = degrees[i], degrees[j]
+        if grading == "none":
+            targets = range(dim)
+        else:
+            lam = (a + b - m - 1 if grading == "vertex"
+                   else dtable.setdefault((a, m, b), rng.randrange(3)))
+            targets = [k for k in range(dim) if degrees[k] == lam]
+        vec = {k: rng.randrange(1, p) for k in targets if rng.random() < 0.7}
+        if vec and rng.random() < 0.4:
+            lines.append(f"mul {m} {names[i]} {names[j]} = {combo(vec)}")
+    lines += [f"dtable {a} {m} {b} = {lam}" for (a, m, b), lam in dtable.items()]
+    return parse("\n".join(lines) + "\n")
+
+
+def test_compare_at_2s_is_equal_on_random_draws():
+    # the paper's theorem, made finite by the stable length: over F_p the
+    # locus of the forward ideal at 2s is the set of restrictions of the
+    # automorphisms that preserve span(X), so compare reads equal on every
+    # draw, graded and fixed ones included
+    rng = random.Random(20261021)
+    seen = []
+    while len(seen) < 300:
+        pres = _draw(rng)
+        try:
+            stable = stable_length(pres)
+        except NotGenerating:
+            continue
+        # tables at 2s of at most 2,000 words keep the test near a second
+        if sum(count_words(pres.universe, stable)) > 2000:
+            continue
+        graded = pres.degrees is not None and rng.random() < 0.7
+        fixed = bool(pres.fixed)
+        system = ideal_generators(pres, stable, graded=graded, fixed=fixed,
+                                  inverse=False)
+        report = compare_locus(pres, system)
+        assert report.equal, (graded, fixed, format_presentation(pres))
+        seen.append((pres.ring.p, stable // 2, pres.num_gens < pres.dim,
+                     pres.grading if graded else None, fixed, report.locus_size))
+    # the draws cover every field, proper generating subsets with s = 2
+    # and 3, both gradings and fixed vectors, on loci larger than one point
+    primes, lengths, proper, gradings, fixeds, sizes = zip(*seen)
+    assert set(primes) == {2, 3, 5}
+    assert {s for s, sub in zip(lengths, proper) if sub} >= {2, 3}
+    assert set(gradings) >= {"vertex", "table"}
+    assert any(f and size > 1 for f, size in zip(fixeds, sizes))
+    assert any(g and size > 1 for g, size in zip(gradings, sizes))
 
 
 def _reference(pres, command, system, point):
